@@ -66,6 +66,11 @@ type Program struct {
 	Mod        *ir.Module
 	Protection *Protection
 	Seed       int64
+
+	// Cold reports that the Pipeline.Build producing this program ran
+	// the front end or Protect, rather than serving both stages from
+	// the in-process memo or the artifact store.
+	Cold bool
 }
 
 // CompileC compiles MiniC source to an optimized (mem2reg + folding) IR

@@ -151,9 +151,10 @@ func hardenKey(compileDigest string, scheme Scheme) string {
 }
 
 // compile resolves the compile stage for (name, src): in-process memo,
-// then persistent store, then the real front-end. The returned entry's
-// mod is shared and must be treated as read-only; Harden clones it.
-func (pl *Pipeline) compile(name, src string) *compileEntry {
+// then persistent store, then the real front-end; ran reports that this
+// call ran the front end. The returned entry's mod is shared and must
+// be treated as read-only; Harden clones it.
+func (pl *Pipeline) compile(name, src string) (e *compileEntry, ran bool) {
 	key := compileKey(name, src)
 	pl.mu.Lock()
 	e, ok := pl.compiles[key]
@@ -177,6 +178,7 @@ func (pl *Pipeline) compile(name, src string) *compileEntry {
 				// Undecodable entry: fall through and recompile.
 			}
 		}
+		ran = true
 		count("pipeline.compile.misses", map[string]string{"name": name})
 		defer func(start time.Time) { obs.ObserveMS("pipeline.compile.ms", time.Since(start)) }(time.Now())
 		mod, err := CompileC(name, src)
@@ -204,14 +206,14 @@ func (pl *Pipeline) compile(name, src string) *compileEntry {
 			}
 		}
 	})
-	return e
+	return e, ran
 }
 
 // Compile returns the optimized vanilla module for src. The module is
 // owned by the caller (a fresh decode of the stage's canonical bytes),
 // so hardening or analyzing it never perturbs the shared cache.
 func (pl *Pipeline) Compile(name, src string) (*ir.Module, error) {
-	e := pl.compile(name, src)
+	e, _ := pl.compile(name, src)
 	if e.err != nil {
 		return nil, fmt.Errorf("core: compile %s: %w", name, e.err)
 	}
@@ -222,8 +224,9 @@ func (pl *Pipeline) Compile(name, src string) (*ir.Module, error) {
 	return mod, nil
 }
 
-// harden resolves the harden stage for (compiled vanilla, scheme).
-func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) *hardenEntry {
+// harden resolves the harden stage for (compiled vanilla, scheme); ran
+// reports that this call ran Protect.
+func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) (e *hardenEntry, ran bool) {
 	key := hardenKey(ce.digest, scheme)
 	pl.mu.Lock()
 	e, ok := pl.hardens[key]
@@ -246,6 +249,7 @@ func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) *harden
 				}
 			}
 		}
+		ran = true
 		count("pipeline.harden.misses", map[string]string{"name": name, "scheme": scheme.String()})
 		defer func(start time.Time) { obs.ObserveMS("pipeline.harden.ms", time.Since(start)) }(time.Now())
 		mod := ce.mod.Clone()
@@ -271,37 +275,39 @@ func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) *harden
 			}
 		}
 	})
-	return e
+	return e, ran
 }
 
 // PrewarmCompile resolves the compile stage for (name, src) without
 // decoding a module — the batched prewarm pool uses it to pay each
 // distinct front-end compile exactly once before any scheme fan-out.
 func (pl *Pipeline) PrewarmCompile(name, src string) error {
-	e := pl.compile(name, src)
+	e, _ := pl.compile(name, src)
 	return e.err
 }
 
 // PrewarmHarden resolves the compile and harden stages for (name, src,
 // scheme) without decoding a module.
 func (pl *Pipeline) PrewarmHarden(name, src string, scheme Scheme) error {
-	ce := pl.compile(name, src)
+	ce, _ := pl.compile(name, src)
 	if ce.err != nil {
 		return ce.err
 	}
-	return pl.harden(name, ce, scheme).err
+	he, _ := pl.harden(name, ce, scheme)
+	return he.err
 }
 
 // Build compiles src and protects it with the scheme, pulling both
 // stages through the pipeline's caches. The returned Program is owned
 // by the caller: its module shares nothing mutable with other Builds,
-// so programs from separate calls may run concurrently.
+// so programs from separate calls may run concurrently. Program.Cold
+// reports whether this call ran the front end or Protect itself.
 func (pl *Pipeline) Build(name, src string, scheme Scheme) (*Program, error) {
-	ce := pl.compile(name, src)
+	ce, compiled := pl.compile(name, src)
 	if ce.err != nil {
 		return nil, fmt.Errorf("core: compile %s: %w", name, ce.err)
 	}
-	he := pl.harden(name, ce, scheme)
+	he, hardened := pl.harden(name, ce, scheme)
 	if he.err != nil {
 		return nil, fmt.Errorf("core: protect %s with %v: %w", name, scheme, he.err)
 	}
@@ -318,7 +324,7 @@ func (pl *Pipeline) Build(name, src string, scheme Scheme) (*Program, error) {
 		d := *he.prot.DFI
 		prot.DFI = &d
 	}
-	return &Program{Mod: mod, Protection: &prot, Seed: 42}, nil
+	return &Program{Mod: mod, Protection: &prot, Seed: 42, Cold: compiled || hardened}, nil
 }
 
 // protMeta is the persisted shape of a Protection: the scheme plus

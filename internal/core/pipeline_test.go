@@ -112,6 +112,12 @@ func TestPipelineDiskCache(t *testing.T) {
 	if got := counter(regCold, "artifact.put.writes"); got != 2 {
 		t.Fatalf("cold run must persist compile+harden, wrote %d", got)
 	}
+	if !cold.Cold {
+		t.Fatal("build that ran the front end is not marked cold")
+	}
+	if again, err := pl1.Build("t", prog, core.SchemePythia); err != nil || again.Cold {
+		t.Fatalf("memoized rebuild marked cold (err %v)", err)
+	}
 
 	pl2, err := core.OpenPipeline(dir)
 	if err != nil {
@@ -131,6 +137,9 @@ func TestPipelineDiskCache(t *testing.T) {
 	}
 	if got := counter(regWarm, "pipeline.compile.misses") + counter(regWarm, "pipeline.harden.misses"); got != 0 {
 		t.Fatalf("warm run recompiled %d stages", got)
+	}
+	if warm.Cold {
+		t.Fatal("build served from the artifact store marked cold")
 	}
 
 	if cold.Mod.String() != warm.Mod.String() {

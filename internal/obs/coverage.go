@@ -4,10 +4,10 @@ package obs
 // hardening checks (PA sign/auth, canary store/check, DFI def/use)
 // actually executed. The hardening passes stamp every inserted
 // instruction with a stable site id (harden.AssignSites); the VM counts
-// per-site executions and fault outcomes behind its usual
-// one-nil-check-when-disabled hook; the workload and attack runners
-// fold each run's counts into the session's CoverageAgg keyed by
-// (profile, scheme). The report closes the gap the aggregate overhead
+// per-site executions and fault outcomes in the same per-instruction
+// counters that back its executed-site total; the workload and attack
+// runners fold each run's counts into the session's CoverageAgg keyed
+// by (profile, scheme). The report closes the gap the aggregate overhead
 // tables leave open: checks that are paid for statically but never
 // exercised dynamically are listed by name.
 
@@ -18,7 +18,9 @@ import (
 	"sync"
 )
 
-// SiteCount is one check site's dynamic tally.
+// SiteCount is one check site's dynamic tally. Faults counts runs the
+// site ended; a budget stop (out of fuel or pages) that lands on the
+// site is an execution, not a fault.
 type SiteCount struct {
 	Execs  int64 `json:"execs"`
 	Faults int64 `json:"faults"`

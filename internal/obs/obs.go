@@ -10,7 +10,7 @@
 // The layer is strictly zero-cost when disabled: nothing is active
 // unless a Session has been started (or a machine was built with an
 // explicit flight window), and the VM's per-instruction hook compiles
-// down to one nil check on the engines' existing tick paths. All
+// down to one nil check on its tick path. All
 // observability is read-only — it never touches the perf meter, the
 // RNG, or memory, so enabling it cannot change a single byte of the
 // evaluation tables.

@@ -58,8 +58,8 @@ type SubmitResponse struct {
 	Stdout  string `json:"stdout"`
 	// Fault details the terminating fault, nil on clean runs.
 	Fault *FaultInfo `json:"fault,omitempty"`
-	// CacheHit: this (source, scheme) was already resolved by this
-	// engine — repeat submissions pay zero compile/harden work.
+	// CacheHit: the build ran neither the front end nor Protect; both
+	// stages came from the pipeline's memo or its artifact store.
 	CacheHit    bool    `json:"cache_hit"`
 	QueueWaitMS float64 `json:"queue_wait_ms"`
 	// Modeled execution counters and footprint.

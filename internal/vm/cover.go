@@ -7,14 +7,12 @@ package vm
 // condbr transition folds (function, from-block, to-block) into a
 // fixed-size bucket array.
 //
-// Edges are recorded by the decoded engine only. Functions the decoder
-// routes to the reference interpreter (refOnly — malformed or
-// unprovable def-before-use) record nothing; every program the
-// front-end emits decodes fully, so in practice the map sees the whole
-// program. Bucket indices are pure functions of the function name and
-// static block indices, so coverage is bit-identical across runs,
-// machines, and processes — the property the fuzzer's deterministic
-// corpus digests rest on.
+// Edges are recorded by the decoded engine, the only engine production
+// runs; the reference interpreter (a test oracle behind
+// Config.Reference) records none. Bucket indices are pure functions of
+// the function name and static block indices, so coverage is
+// bit-identical across runs, machines, and processes — the property the
+// fuzzer's deterministic corpus digests rest on.
 
 // CoverSize is the number of buckets in a Coverage map. 8192 buckets
 // comfortably hold the few hundred static edges of a corpus program

@@ -9,15 +9,22 @@ package vm
 // these arrays with no IR or map traffic on the hot path.
 //
 // Replacing the per-frame value map with zero-initialized slots is only
-// sound when every use is provably executed after its def; the IR
-// verifier does not check dominance, so a malformed function could read
-// an undefined value — a condition the reference interpreter reports as
-// a runtime fault. The decoder therefore proves def-before-use with a
-// dominance analysis and routes any function it cannot prove to the
-// reference interpreter (refOnly), keeping fault behaviour identical at
-// zero cost to well-formed code.
+// sound when every use is provably executed after its def. The IR
+// verifier does not check dominance, and modules can arrive from the
+// artifact store or be built by hand, so the decoder proves
+// def-before-use with a dominance analysis. A function it cannot prove
+// (or whose operands, slots or successors it cannot resolve) records
+// the reason in dfunc.err; its first call ends the run with a
+// FaultRuntime naming the instruction.
+//
+// Every instruction also gets a decode-time cell index into the
+// dfunc's counter array (siteCell): the machine's single per-site
+// record, from which SitesExecuted, Result.Coverage, Result.SiteCosts
+// and the session site profile are all derived (obs.go).
 
 import (
+	"fmt"
+
 	"repro/internal/cfg"
 	"repro/internal/ir"
 )
@@ -64,7 +71,7 @@ type dgep struct {
 type dinstr struct {
 	op     ir.Op
 	dst    int32 // result slot, -1 when none
-	site   int32 // hardening-site index for first-hit tracking, -1 otherwise
+	cell   int32 // counter cell index (dfunc.cells)
 	succ0  int32 // br/condbr target block indices
 	succ1  int32
 	size   int    // load/store width; sext source width
@@ -80,6 +87,7 @@ type dinstr struct {
 // dphi is one decoded phi: incoming edges as (pred block index, operand).
 type dphi struct {
 	dst   int32
+	cell  int32
 	in    *ir.Instr
 	preds []int32
 	vals  []operand
@@ -92,6 +100,23 @@ type dblock struct {
 	code []dinstr
 }
 
+// siteCell is one instruction's dynamic record on one machine:
+// executions, fault outcomes, and the modeled cycles attributed to it.
+// Executions of hardening instructions are always counted; executions
+// of other instructions and all cycles only while an obs session
+// attributes cycles (obs.go).
+type siteCell struct {
+	execs  int64
+	faults int64
+	cycles float64
+}
+
+func (c *siteCell) add(o siteCell) {
+	c.execs += o.execs
+	c.faults += o.faults
+	c.cycles += o.cycles
+}
+
 // dfunc is the decoded form of one function under one machine.
 type dfunc struct {
 	f         *ir.Func
@@ -102,15 +127,26 @@ type dfunc struct {
 	maxPhis   int // phi scratch slots appended after the value slots
 	blocks    []dblock
 
-	// siteSeen is the fast already-counted filter per hardening site;
-	// the first hit also records the instruction in m.siteHits so
-	// SitesExecuted is computed identically for both engines.
-	siteSeen []bool
+	// cells is the function's counter array, indexed by decode-time
+	// cell index; ins[i] is the instruction behind cells[i]. Hardening
+	// instructions take the indices below nsites, so a tick tells a
+	// check site with one compare.
+	cells  []siteCell
+	ins    []*ir.Instr
+	nsites int32
 
-	// refOnly routes this function to the reference interpreter: the
-	// decoder could not prove def-before-use (or met an operand kind it
-	// cannot resolve), so lazy undefined-value faults must be preserved.
-	refOnly bool
+	// sent is the part of cells obsFlush has already published to the
+	// session site profiler, which receives deltas.
+	sent []siteCell
+
+	// index maps instruction to cell; built on first use by the
+	// reference interpreter and by inherit.
+	index map[*ir.Instr]int32
+
+	// err is why f could not be decoded and errIn the instruction it
+	// names; the first call of f faults with them.
+	err   error
+	errIn *ir.Instr
 
 	// covBase is the function's coverage-hash base (covHash of its
 	// name), mixed into every branch-edge bucket index when a Coverage
@@ -121,17 +157,61 @@ type dfunc struct {
 // decodedFunc returns the cached decoding of f, refreshing it when a
 // hardening pass installed a new stack plan since the last decode.
 func (m *Machine) decodedFunc(f *ir.Func) *dfunc {
-	if d, ok := m.decoded[f]; ok && d.planSrc == f.Plan {
-		return d
+	old, ok := m.decoded[f]
+	if ok && old.planSrc == f.Plan {
+		return old
 	}
 	d := m.decode(f)
+	if ok {
+		d.inherit(old)
+	}
 	m.decoded[f] = d
 	return d
 }
 
+// cellOf returns in's cell index, appending a cell for an instruction
+// the decoding does not hold.
+func (d *dfunc) cellOf(in *ir.Instr) int32 {
+	if d.index == nil {
+		d.index = make(map[*ir.Instr]int32, len(d.ins))
+		for i, x := range d.ins {
+			d.index[x] = int32(i)
+		}
+	}
+	i, ok := d.index[in]
+	if !ok {
+		i = int32(len(d.cells))
+		d.index[in] = i
+		d.ins = append(d.ins, in)
+		d.cells = append(d.cells, siteCell{})
+	}
+	return i
+}
+
+// inherit folds a previous decoding's counts into d, so a re-decode
+// after a stack-plan change drops no count already taken.
+func (d *dfunc) inherit(old *dfunc) {
+	for i, in := range old.ins {
+		j := d.cellOf(in)
+		d.cells[j].add(old.cells[i])
+		if i < len(old.sent) {
+			d.sent = growCells(d.sent, len(d.cells))
+			d.sent[j].add(old.sent[i])
+		}
+	}
+}
+
+// growCells extends cs with zero cells to length n.
+func growCells(cs []siteCell, n int) []siteCell {
+	if len(cs) < n {
+		cs = append(cs, make([]siteCell, n-len(cs))...)
+	}
+	return cs
+}
+
 // opWritesResult reports the opcodes whose decoded execution writes dst
 // unconditionally; an instruction of one of these with no result slot
-// (nameless or void-typed) is decodable only by the reference path.
+// (nameless or void-typed) cannot be decoded.
 func opWritesResult(op ir.Op) bool {
 	switch op {
 	case ir.OpAlloca, ir.OpLoad, ir.OpGEP, ir.OpICmp, ir.OpSelect,
@@ -139,6 +219,21 @@ func opWritesResult(op ir.Op) bool {
 		return true
 	}
 	return op.IsBinOp() || op.IsCast()
+}
+
+// decoder carries one function's decode-time analyses.
+type decoder struct {
+	m        *Machine
+	d        *dfunc
+	num      *ir.Numbering
+	g        *cfg.Graph
+	blockIdx map[*ir.Block]int32
+	// pos gives each instruction's index within its block, for the
+	// same-block def-before-use check.
+	pos map[*ir.Instr]int
+	// nextSite/nextOther hand out cell indices: hardening instructions
+	// first, everything else after them.
+	nextSite, nextOther int32
 }
 
 // decode lowers f for execution under this machine.
@@ -149,78 +244,25 @@ func (m *Machine) decode(f *ir.Func) *dfunc {
 
 	num := ir.NumberValues(f)
 	d.nslots = num.Count()
-	g := cfg.New(f)
-
-	blockIdx := make(map[*ir.Block]int32, len(f.Blocks))
-	for i, b := range f.Blocks {
-		blockIdx[b] = int32(i)
+	ncells := f.NumInstrs()
+	dc := &decoder{
+		m: m, d: d, num: num, g: cfg.New(f),
+		blockIdx: make(map[*ir.Block]int32, len(f.Blocks)),
+		pos:      make(map[*ir.Instr]int, ncells),
 	}
-	// pos gives each instruction's index within its block, for the
-	// same-block def-before-use check.
-	pos := make(map[*ir.Instr]int, f.NumInstrs())
-	for _, b := range f.Blocks {
+	for bi, b := range f.Blocks {
+		dc.blockIdx[b] = int32(bi)
 		for i, in := range b.Instrs {
-			pos[in] = i
-		}
-	}
-
-	// safeUse reports whether a use at (ub, ui) is always executed after
-	// def: same block and textually earlier, or the def's block strictly
-	// dominates the use's. Uses in unreachable blocks never execute.
-	safeUse := func(def *ir.Instr, ub *ir.Block, ui int) bool {
-		db := def.Block
-		if db == nil {
-			return false
-		}
-		if !g.Reachable(ub) {
-			return true
-		}
-		if db == ub {
-			return pos[def] < ui
-		}
-		return g.Dominates(db, ub)
-	}
-
-	// decodeVal resolves one operand of the instruction at (ub, ui).
-	decodeVal := func(v ir.Value, ub *ir.Block, ui int) operand {
-		switch x := v.(type) {
-		case *ir.Const:
-			return operand{kind: opdConst, val: uint64(x.Val)}
-		case *ir.Global:
-			return operand{kind: opdConst, val: m.globalAddrs[x]}
-		case *ir.Param:
-			return operand{kind: opdParam, idx: int32(x.Index)}
-		case *ir.Instr:
-			slot, ok := num.SlotOf(x)
-			if !ok || !safeUse(x, ub, ui) {
-				d.refOnly = true
-				return operand{}
+			dc.pos[in] = i
+			if in.Op.IsHardening() {
+				d.nsites++
 			}
-			return operand{kind: opdSlot, idx: slot}
-		default:
-			d.refOnly = true
-			return operand{}
 		}
 	}
+	d.cells = make([]siteCell, ncells)
+	d.ins = make([]*ir.Instr, ncells)
+	dc.nextOther = d.nsites
 
-	// decodePhiVal resolves a phi edge's value: the def must dominate the
-	// predecessor block (non-strictly — a def inside the predecessor
-	// itself runs before its terminator takes the edge).
-	decodePhiVal := func(v ir.Value, phiB, predB *ir.Block) operand {
-		x, isInstr := v.(*ir.Instr)
-		if !isInstr {
-			return decodeVal(v, phiB, 0)
-		}
-		slot, ok := num.SlotOf(x)
-		if !ok || x.Block == nil ||
-			(g.Reachable(phiB) && g.Reachable(predB) && !g.Dominates(x.Block, predB)) {
-			d.refOnly = true
-			return operand{}
-		}
-		return operand{kind: opdSlot, idx: slot}
-	}
-
-	nsites := 0
 	d.blocks = make([]dblock, len(f.Blocks))
 	for bi, b := range f.Blocks {
 		db := &d.blocks[bi]
@@ -232,60 +274,126 @@ func (m *Machine) decode(f *ir.Func) *dfunc {
 		for _, p := range phis {
 			dst, ok := num.SlotOf(p)
 			if !ok {
-				d.refOnly = true
+				dc.fail(p, "phi has no value slot")
 			}
-			dp := dphi{dst: dst, in: p}
+			dp := dphi{dst: dst, cell: dc.cell(p), in: p}
 			for _, e := range p.Incoming {
-				pi, known := blockIdx[e.Pred]
+				pi, known := dc.blockIdx[e.Pred]
 				if !known {
 					pi = -2 // matches no predecessor, including entry (-1)
 				}
 				dp.preds = append(dp.preds, pi)
-				dp.vals = append(dp.vals, decodePhiVal(e.Val, b, e.Pred))
+				dp.vals = append(dp.vals, dc.phiVal(p, e.Val, b, e.Pred))
 			}
 			db.phis = append(db.phis, dp)
 		}
 
 		db.code = make([]dinstr, 0, len(b.Instrs)-len(phis)+1)
 		for ii := len(phis); ii < len(b.Instrs); ii++ {
-			db.code = append(db.code, m.decodeInstr(d, num, blockIdx, decodeVal, b, ii, &nsites))
+			db.code = append(db.code, dc.instr(b, ii))
 		}
-		db.code = append(db.code, dinstr{op: opFall, dst: -1, site: -1})
+		db.code = append(db.code, dinstr{op: opFall, dst: -1, cell: -1})
 	}
-	d.siteSeen = make([]bool, nsites)
 	return d
 }
 
-// decodeInstr lowers the instruction at b.Instrs[ii].
-func (m *Machine) decodeInstr(d *dfunc, num *ir.Numbering, blockIdx map[*ir.Block]int32,
-	decodeVal func(ir.Value, *ir.Block, int) operand, b *ir.Block, ii int, nsites *int) dinstr {
+// fail records the first reason f cannot be decoded.
+func (dc *decoder) fail(in *ir.Instr, format string, args ...any) {
+	if dc.d.err == nil {
+		dc.d.err, dc.d.errIn = fmt.Errorf(format, args...), in
+	}
+}
 
+// cell hands in its counter cell index.
+func (dc *decoder) cell(in *ir.Instr) int32 {
+	next := &dc.nextOther
+	if in.Op.IsHardening() {
+		next = &dc.nextSite
+	}
+	i := *next
+	*next++
+	dc.d.ins[i] = in
+	return i
+}
+
+// safeUse reports whether a use at (ub, ui) is always executed after
+// def: same block and textually earlier, or the def's block strictly
+// dominates the use's. Uses in unreachable blocks never execute.
+func (dc *decoder) safeUse(def *ir.Instr, ub *ir.Block, ui int) bool {
+	db := def.Block
+	if db == nil {
+		return false
+	}
+	if !dc.g.Reachable(ub) {
+		return true
+	}
+	if db == ub {
+		return dc.pos[def] < ui
+	}
+	return dc.g.Dominates(db, ub)
+}
+
+// val resolves one operand of user, the instruction at (ub, ui).
+func (dc *decoder) val(user *ir.Instr, v ir.Value, ub *ir.Block, ui int) operand {
+	switch x := v.(type) {
+	case *ir.Const:
+		return operand{kind: opdConst, val: uint64(x.Val)}
+	case *ir.Global:
+		return operand{kind: opdConst, val: dc.m.globalAddrs[x]}
+	case *ir.Param:
+		return operand{kind: opdParam, idx: int32(x.Index)}
+	case *ir.Instr:
+		slot, ok := dc.num.SlotOf(x)
+		if !ok {
+			dc.fail(user, "operand %%%s has no value slot", x.Nam)
+		} else if !dc.safeUse(x, ub, ui) {
+			dc.fail(user, "use of %%%s is not dominated by its definition", x.Nam)
+		}
+		return operand{kind: opdSlot, idx: slot}
+	default:
+		dc.fail(user, "unresolvable operand %T", v)
+		return operand{}
+	}
+}
+
+// phiVal resolves a phi edge's value: the def must dominate the
+// predecessor block (non-strictly — a def inside the predecessor
+// itself runs before its terminator takes the edge).
+func (dc *decoder) phiVal(p *ir.Instr, v ir.Value, phiB, predB *ir.Block) operand {
+	x, isInstr := v.(*ir.Instr)
+	if !isInstr {
+		return dc.val(p, v, phiB, 0)
+	}
+	slot, ok := dc.num.SlotOf(x)
+	if !ok || x.Block == nil ||
+		(dc.g.Reachable(phiB) && dc.g.Reachable(predB) && !dc.g.Dominates(x.Block, predB)) {
+		dc.fail(p, "phi value %%%s does not dominate the edge from %%%s", x.Nam, predB.Name)
+	}
+	return operand{kind: opdSlot, idx: slot}
+}
+
+// instr lowers the instruction at b.Instrs[ii].
+func (dc *decoder) instr(b *ir.Block, ii int) dinstr {
 	in := b.Instrs[ii]
-	di := dinstr{op: in.Op, dst: -1, site: -1, aux: -1, pred: in.Pred, in: in}
+	di := dinstr{op: in.Op, dst: -1, cell: dc.cell(in), aux: -1, pred: in.Pred, in: in}
 	if in.HasResult() {
-		if s, ok := num.SlotOf(in); ok {
+		if s, ok := dc.num.SlotOf(in); ok {
 			di.dst = s
-		} else {
-			d.refOnly = true
 		}
 	}
-	if di.dst < 0 && opWritesResult(in.Op) {
-		d.refOnly = true
-	}
-	if in.Op.IsHardening() {
-		di.site = int32(*nsites)
-		*nsites++
+	if di.dst < 0 && (in.HasResult() || opWritesResult(in.Op)) {
+		dc.fail(in, "result has no value slot")
 	}
 	if len(in.Args) > 0 {
 		di.args = make([]operand, len(in.Args))
 		for i, a := range in.Args {
-			di.args[i] = decodeVal(a, b, ii)
+			di.args[i] = dc.val(in, a, b, ii)
 		}
 	}
 
 	switch in.Op {
 	case ir.OpAlloca:
-		if s := d.plan.SlotFor(in); s != nil {
+		if s := dc.d.plan.SlotFor(in); s != nil {
 			di.aux = s.Offset
 		}
 	case ir.OpLoad:
@@ -303,20 +411,22 @@ func (m *Machine) decodeInstr(d *dfunc, num *ir.Numbering, blockIdx map[*ir.Bloc
 	case ir.OpCall:
 		di.callee = in.Callee
 	case ir.OpBr:
-		s0, ok := blockIdx[in.Succs[0]]
-		if !ok {
-			d.refOnly = true
-		}
-		di.succ0 = s0
+		di.succ0 = dc.succ(in, 0)
 	case ir.OpCondBr:
-		s0, ok0 := blockIdx[in.Succs[0]]
-		s1, ok1 := blockIdx[in.Succs[1]]
-		if !ok0 || !ok1 {
-			d.refOnly = true
-		}
-		di.succ0, di.succ1 = s0, s1
+		di.succ0, di.succ1 = dc.succ(in, 0), dc.succ(in, 1)
 	}
 	return di
+}
+
+// succ resolves in's i-th successor to a block index.
+func (dc *decoder) succ(in *ir.Instr, i int) int32 {
+	if i < len(in.Succs) {
+		if bi, ok := dc.blockIdx[in.Succs[i]]; ok {
+			return bi
+		}
+	}
+	dc.fail(in, "branch target %d is not a block of the function", i)
+	return 0
 }
 
 // decodeGEP folds a GEP's type walk at decode time (see dgep).

@@ -1,10 +1,11 @@
 package vm
 
-// The pre-decoded execution engine: runs dfuncs produced by decode.go
-// over a flat slot file, mirroring the reference interpreter's observable
+// The pre-decoded execution engine, the only engine production runs:
+// it executes dfuncs produced by decode.go over a flat slot file,
+// touching no IR structures and no maps on the hot path. Its observable
 // behaviour — fault kinds and messages, meter event order, RNG draws,
-// fuel accounting — exactly, while touching no IR structures and no maps
-// on the hot path.
+// fuel accounting, per-site counts — matches the reference interpreter
+// (reference.go) exactly; the differential tests hold it to that.
 
 import (
 	"errors"
@@ -36,7 +37,7 @@ func (fr *dframe) get(o operand) uint64 {
 
 // grabSlots pops a recycled slot file from the pool (or allocates one).
 // Slots are not zeroed: decode.go proves every read slot was written
-// first, and functions it cannot prove this for never run here.
+// first, and a function it cannot prove this for faults on entry.
 func (m *Machine) grabSlots(n int) []uint64 {
 	if k := len(m.slotFree); k > 0 {
 		s := m.slotFree[k-1]
@@ -58,18 +59,15 @@ func (m *Machine) putSlots(s []uint64) {
 	}
 }
 
-// dtick is the decoded engine's per-instruction charge, equivalent to
-// tick: trace, first-hit site tracking, meter, fuel.
-func (m *Machine) dtick(d *dfunc, in *ir.Instr, site int32) {
-	if m.Trace != nil {
-		m.Trace(d.f, in)
-	}
+// dtick charges one retired instruction: observability, the check-site
+// execution count, meter, fuel. The reference interpreter's tick
+// forwards here, so both engines record identically.
+func (m *Machine) dtick(d *dfunc, in *ir.Instr, cell int32) {
 	if m.obs != nil {
-		m.obsTick(d.f, in)
+		m.obsTick(d, in, cell)
 	}
-	if site >= 0 && !d.siteSeen[site] {
-		d.siteSeen[site] = true
-		m.siteHits[in] = true
+	if cell < d.nsites {
+		d.cells[cell].execs++
 	}
 	m.Meter.OnInstr(in.Op)
 	m.Fuel--
@@ -124,14 +122,14 @@ blockLoop:
 			for i := range blk.phis {
 				p := &blk.phis[i]
 				slots[p.dst] = scratch[i]
-				m.dtick(d, p.in, -1)
+				m.dtick(d, p.in, p.cell)
 			}
 		}
 		for ci := range blk.code {
 			di := &blk.code[ci]
 			switch di.op {
 			case ir.OpBr:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				prev, bi = bi, di.succ0
 				if m.cov != nil {
 					m.cov.hit(d.covBase, prev, bi)
@@ -139,7 +137,7 @@ blockLoop:
 				continue blockLoop
 
 			case ir.OpCondBr:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				prev = bi
 				if fr.get(di.args[0])&1 != 0 {
 					bi = di.succ0
@@ -152,21 +150,21 @@ blockLoop:
 				continue blockLoop
 
 			case ir.OpRet:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				if len(di.args) == 1 {
 					return fr.get(di.args[0])
 				}
 				return 0
 
 			case ir.OpAlloca:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				if di.aux < 0 {
 					panic(m.fault(FaultRuntime, f, di.in, fmt.Errorf("alloca %%%s missing from stack plan", di.in.Nam)))
 				}
 				slots[di.dst] = base + uint64(di.aux)
 
 			case ir.OpLoad:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				addr := fr.get(di.args[0])
 				m.Meter.OnLoad(addr)
 				v, err := m.Mem.ReadUint(addr, di.size)
@@ -176,7 +174,7 @@ blockLoop:
 				slots[di.dst] = signExtend(v, di.size)
 
 			case ir.OpStore:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				val := fr.get(di.args[0])
 				addr := fr.get(di.args[1])
 				m.Meter.OnStore(addr)
@@ -185,7 +183,7 @@ blockLoop:
 				}
 
 			case ir.OpGEP:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				g := di.gep
 				if g.generic {
 					slots[di.dst] = m.execGEPGeneric(&fr, f, di)
@@ -199,46 +197,46 @@ blockLoop:
 				}
 
 			case ir.OpAdd:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) + int64(fr.get(di.args[1])))
 			case ir.OpSub:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) - int64(fr.get(di.args[1])))
 			case ir.OpMul:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) * int64(fr.get(di.args[1])))
 			case ir.OpSDiv:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				b := int64(fr.get(di.args[1]))
 				if b == 0 {
 					panic(m.fault(FaultRuntime, f, di.in, errors.New("division by zero")))
 				}
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) / b)
 			case ir.OpSRem:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				b := int64(fr.get(di.args[1]))
 				if b == 0 {
 					panic(m.fault(FaultRuntime, f, di.in, errors.New("remainder by zero")))
 				}
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) % b)
 			case ir.OpAnd:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				slots[di.dst] = fr.get(di.args[0]) & fr.get(di.args[1])
 			case ir.OpOr:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				slots[di.dst] = fr.get(di.args[0]) | fr.get(di.args[1])
 			case ir.OpXor:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				slots[di.dst] = fr.get(di.args[0]) ^ fr.get(di.args[1])
 			case ir.OpShl:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) << uint(fr.get(di.args[1])&63))
 			case ir.OpAShr:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) >> uint(fr.get(di.args[1])&63))
 
 			case ir.OpICmp:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				a := int64(fr.get(di.args[0]))
 				b := int64(fr.get(di.args[1]))
 				var r bool
@@ -263,17 +261,17 @@ blockLoop:
 				}
 
 			case ir.OpTrunc, ir.OpZExt:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				slots[di.dst] = fr.get(di.args[0]) & di.umask
 			case ir.OpSExt:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				slots[di.dst] = signExtend(fr.get(di.args[0]), di.size)
 			case ir.OpPtrToInt, ir.OpIntToPtr:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				slots[di.dst] = fr.get(di.args[0])
 
 			case ir.OpSelect:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				if fr.get(di.args[0])&1 != 0 {
 					slots[di.dst] = fr.get(di.args[1])
 				} else {
@@ -281,22 +279,14 @@ blockLoop:
 				}
 
 			case ir.OpCall:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				cargs := make([]uint64, len(di.args))
 				for i := range di.args {
 					cargs[i] = fr.get(di.args[i])
 				}
 				var rv uint64
 				if callee := di.callee; callee.IsDecl() {
-					v, err := m.intrinsic(f, di.in, callee, cargs)
-					if err != nil {
-						var ee *execError
-						if errors.As(err, &ee) {
-							panic(ee)
-						}
-						panic(m.fault(FaultRuntime, f, di.in, err))
-					}
-					rv = v
+					rv = m.callIntrinsic(f, di.in, callee, cargs)
 				} else {
 					rv = m.invoke(callee, cargs)
 				}
@@ -305,11 +295,11 @@ blockLoop:
 				}
 
 			case ir.OpPacSign:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				slots[di.dst] = pa.Sign(fr.get(di.args[0]), fr.get(di.args[1]), m.Keys.APDA)
 
 			case ir.OpPacAuth:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				ptr := fr.get(di.args[0])
 				mod := fr.get(di.args[1])
 				out, ok := pa.Auth(ptr, mod, m.Keys.APDA)
@@ -319,87 +309,42 @@ blockLoop:
 				slots[di.dst] = out
 
 			case ir.OpPacStrip:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				slots[di.dst] = pa.Strip(fr.get(di.args[0]))
 
 			case ir.OpSealStore:
-				m.dtick(d, di.in, di.site)
-				val := fr.get(di.args[0])
-				addr := fr.get(di.args[1])
-				m.Meter.OnStore(addr)
-				if err := m.Mem.WriteUint(addr, val, 8); err != nil {
-					panic(m.fault(memKind(err), f, di.in, err))
-				}
-				mac := pa.GenericMAC(val, addr, m.Keys.APGA)
-				m.Meter.OnStore(addr + 8)
-				if err := m.Mem.WriteUint(addr+8, mac, 8); err != nil {
-					panic(m.fault(memKind(err), f, di.in, err))
-				}
+				m.dtick(d, di.in, di.cell)
+				m.sealStore(f, di.in, fr.get(di.args[0]), fr.get(di.args[1]))
 
 			case ir.OpCheckLoad:
-				m.dtick(d, di.in, di.site)
-				addr := fr.get(di.args[0])
-				m.Meter.OnLoad(addr)
-				val, err := m.Mem.ReadUint(addr, 8)
-				if err != nil {
-					panic(m.fault(memKind(err), f, di.in, err))
-				}
-				m.Meter.OnLoad(addr + 8)
-				mac, err := m.Mem.ReadUint(addr+8, 8)
-				if err != nil {
-					panic(m.fault(memKind(err), f, di.in, err))
-				}
-				want := pa.GenericMAC(val, addr, m.Keys.APGA)
-				// Hardware verifies only the PAC-width truncation of the MAC.
-				if mac>>(64-pa.PACBits) != want>>(64-pa.PACBits) {
-					panic(m.fault(FaultPAC, f, di.in, &sealError{Addr: addr}))
-				}
-				slots[di.dst] = val
+				m.dtick(d, di.in, di.cell)
+				slots[di.dst] = m.checkLoad(f, di.in, fr.get(di.args[0]))
 
 			case ir.OpObjSeal:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				addr := fr.get(di.args[0])
 				size := int(fr.get(di.args[1]))
 				m.objMAC[addr] = m.objectMAC(f, di.in, addr, size)
 
 			case ir.OpObjCheck:
-				m.dtick(d, di.in, di.site)
-				addr := fr.get(di.args[0])
-				size := int(fr.get(di.args[1]))
-				if want, sealed := m.objMAC[addr]; sealed {
-					got := m.objectMAC(f, di.in, addr, size)
-					if got>>(64-pa.PACBits) != want>>(64-pa.PACBits) {
-						panic(m.fault(FaultPAC, f, di.in, &sealError{Addr: addr, Size: size, object: true}))
-					}
-				}
+				m.dtick(d, di.in, di.cell)
+				m.objCheck(f, di.in, fr.get(di.args[0]), int(fr.get(di.args[1])))
 
 			case ir.OpCanarySet:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				m.canarySetAt(f, di.in, fr.get(di.args[0]))
 
 			case ir.OpCanaryCheck:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				m.canaryCheckAt(f, di.in, fr.get(di.args[0]))
 
 			case ir.OpSetDef:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				m.dfiRDT[fr.get(di.args[0])] = di.in.DefID
 
 			case ir.OpChkDef:
-				m.dtick(d, di.in, di.site)
-				addr := fr.get(di.args[0])
-				if id, ok := m.dfiRDT[addr]; ok {
-					allowed := id == DFIWildcard
-					for _, a := range di.in.Allowed {
-						if a == id {
-							allowed = true
-							break
-						}
-					}
-					if !allowed {
-						panic(m.fault(FaultDFI, f, di.in, &dfiError{ID: id, Addr: addr}))
-					}
-				}
+				m.dtick(d, di.in, di.cell)
+				m.chkDef(f, di.in, fr.get(di.args[0]))
 
 			case ir.OpPhi:
 				// A phi below a non-phi; the reference interpreter faults
@@ -410,7 +355,7 @@ blockLoop:
 				panic(m.fault(FaultRuntime, f, nil, fmt.Errorf("block %%%s fell through", blk.b.Name)))
 
 			default:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.cell)
 				panic(m.fault(FaultRuntime, f, di.in, fmt.Errorf("unimplemented opcode %s", di.in.Op)))
 			}
 		}
@@ -423,23 +368,5 @@ blockLoop:
 // decodeGEP could not fold, reproducing the reference interpreter's
 // faults (including "gep into scalar").
 func (m *Machine) execGEPGeneric(fr *dframe, f *ir.Func, di *dinstr) uint64 {
-	in := di.in
-	base := fr.get(di.args[0])
-	t := in.Args[0].Type().(*ir.PtrType).Elem
-	idx0 := int64(fr.get(di.args[1]))
-	addr := base + uint64(idx0*t.Size())
-	for i := 2; i < len(di.args); i++ {
-		idx := int64(fr.get(di.args[i]))
-		switch ct := t.(type) {
-		case *ir.ArrayType:
-			addr += uint64(idx * ct.Elem.Size())
-			t = ct.Elem
-		case *ir.StructType:
-			addr += uint64(ct.Offset(int(idx)))
-			t = ct.Fields[idx].Type
-		default:
-			panic(m.fault(FaultRuntime, f, in, fmt.Errorf("gep into scalar %s", t)))
-		}
-	}
-	return addr
+	return m.gepWalk(f, di.in, fr.get(di.args[0]), func(i int) int64 { return int64(fr.get(di.args[i])) })
 }

@@ -15,15 +15,14 @@ import (
 	"repro/internal/pa"
 )
 
-// refFrame is one activation record of the reference interpreter.
+// refFrame is one activation record of the reference interpreter. d is
+// the function's decoded form: its stack plan and counter cells.
 type refFrame struct {
 	f    *ir.Func
+	d    *dfunc
 	args []uint64
 	regs map[*ir.Instr]uint64
-
 	base uint64 // frame base = lowest address of the frame
-	size int64
-	plan *ir.StackPlan
 }
 
 // DefaultPlan lays allocas out in declaration order from the frame base
@@ -183,26 +182,19 @@ func (m *Machine) canaryCheckAt(f *ir.Func, in *ir.Instr, slot uint64) {
 
 // newRefFrame pushes an activation record for the reference interpreter.
 func (m *Machine) newRefFrame(f *ir.Func, args []uint64) *refFrame {
-	plan := m.planOf(f)
-	size := frameSize(plan)
-	fr := &refFrame{
-		f:    f,
-		args: args,
-		regs: make(map[*ir.Instr]uint64, 16),
-		size: size,
-		plan: plan,
-	}
-	fr.base = m.pushFrameMem(f, plan, size)
+	d := m.decodedFunc(f)
+	fr := &refFrame{f: f, d: d, args: args, regs: make(map[*ir.Instr]uint64, 16)}
+	fr.base = m.pushFrameMem(f, d.plan, d.frameSize)
 	return fr
 }
 
 func (m *Machine) popRefFrame(fr *refFrame) {
-	m.popFrameMem(fr.base, fr.size, fr.plan)
+	m.popFrameMem(fr.base, fr.d.frameSize, fr.d.plan)
 }
 
 // slotAddr returns the address of the slot backing alloca a.
 func (fr *refFrame) slotAddr(m *Machine, a *ir.Instr) uint64 {
-	if s := fr.plan.SlotFor(a); s != nil {
+	if s := fr.d.plan.SlotFor(a); s != nil {
 		return fr.base + uint64(s.Offset)
 	}
 	panic(m.fault(FaultRuntime, fr.f, a, fmt.Errorf("alloca %%%s missing from stack plan", a.Nam)))

@@ -1,10 +1,14 @@
 package vm
 
-// Observability wiring for the interpreter. Both engines' tick paths
-// gained exactly one extra branch — `if m.obs != nil` — so with
-// observability off the hot loop is unchanged; with it on, obsTick feeds
-// the fault flight recorder, the per-opcode dynamic histogram, and the
-// per-site cycle attribution that backs `pythia-bench -hotsites`.
+// Observability wiring for the interpreter. The tick path (shared by
+// both engines) pays exactly one branch for it — `if m.obs != nil` — so
+// with observability off the hot loop is unchanged; with it on, obsTick
+// feeds the Config.Trace hook, the fault flight recorder, the
+// per-opcode dynamic histogram, and the per-instruction cycle
+// attribution into the dfunc counter cells. obsFlush publishes those
+// cells' deltas to the session site profiler (`pythia-bench
+// -hotsites`); Run derives Result.Coverage and Result.SiteCosts from
+// the same cells (vm.go).
 //
 // Observability is strictly read-only: it inspects the meter and the IR
 // but never touches memory, the RNG, or the counters, so arming it
@@ -89,17 +93,9 @@ func faultAddress(err error) (uint64, bool) {
 	return 0, false
 }
 
-// siteAccum buffers one instruction's dynamic profile machine-locally;
-// obsFlush folds the buffer into the shared SiteProf in one pass so the
-// hot loop never takes the profiler's lock.
-type siteAccum struct {
-	f      *ir.Func
-	count  int64
-	cycles float64
-}
-
 // obsState is a machine's observability attachment; nil when disabled.
 type obsState struct {
+	trace  func(f *ir.Func, in *ir.Instr)
 	flight *obs.Flight
 	reg    *obs.Registry
 	sites  *perf.SiteProf
@@ -108,138 +104,90 @@ type obsState struct {
 	// as vm.op.<name> counters).
 	hist []int64
 
-	// local accumulates per-site counts and attributed cycles. Cycle
-	// attribution is by delta: the meter charge between two consecutive
-	// ticks belongs to the earlier instruction (tick runs before the
-	// opcode's own work), so each tick closes out the previous site.
-	local   map[*ir.Instr]*siteAccum
-	prevF   *ir.Func
-	prevIn  *ir.Instr
-	prevCyc float64
+	// coverage and costs ask Run for Result.Coverage (the session
+	// carries a CoverageAgg) and Result.SiteCosts (an AttribAgg).
+	coverage, costs bool
 
-	// cover counts executions and fault outcomes per hardening check
-	// site; armed only when the session carries a CoverageAgg. The run
-	// exit path folds it into Result.Coverage keyed by the sites' stable
-	// Meta ids.
-	cover map[*ir.Instr]*obs.SiteCount
+	// profile arms cycle attribution into the counter cells, for the
+	// site profiler and for SiteCosts. Attribution is by delta: the
+	// meter charge between two consecutive ticks belongs to the earlier
+	// instruction (tick runs before the opcode's own work), so each tick
+	// closes out the previous cell, which then covers the instruction's
+	// own expansion plus the memory traffic it causes.
+	profile  bool
+	prevD    *dfunc
+	prevCell int32
+	prevCyc  float64
 
-	// attrib accumulates per-hardening-site execution counts and
-	// attributed cycles for this run; armed only when the session
-	// carries an AttribAgg. It shares the prev-tick cycle-delta chain
-	// with `local`, so a site's cost includes its own expansion plus
-	// the memory traffic it causes. The run exit path folds it into
-	// Result.SiteCosts keyed by stable site id.
-	attrib map[*ir.Instr]*obs.SiteCost
-
-	// decodedCalls/refCalls count engine routing decisions.
+	// decodedCalls/refCalls count engine routing decisions since the
+	// last flush.
 	decodedCalls, refCalls int64
 
-	// flushed... remember what obsFlush already reported so a machine
-	// that Runs more than once only publishes deltas.
-	flushedInstrs  int64
-	flushedPA      int64
-	flushedCanary  int64
-	flushedDFI     int64
-	flushedLoads   int64
-	flushedStores  int64
-	flushedCycles  float64
-	flushedDecoded int64
-	flushedRef     int64
-	flushedHeap    [2]heap.Stats
+	// flushed and flushedHeap remember what obsFlush already reported
+	// so a machine that Runs more than once only publishes deltas.
+	flushed     perf.Counters
+	flushedHeap [2]heap.Stats
 }
 
-// newObsState arms observability for a machine being built: an explicit
-// Config.Flight always arms the flight recorder; an active session adds
-// its registry/site profiler (and its FlightDepth when the config did
-// not set one). Returns nil when every feature is off.
+// newObsState arms observability for a machine being built: a
+// Config.Trace hook or an explicit Config.Flight always arms it; an
+// active session adds its registry, site profiler, coverage and
+// attribution requests (and its FlightDepth when the config did not set
+// one). Returns nil when every feature is off.
 func newObsState(cfg Config) *obsState {
 	s := obs.Current()
 	depth := cfg.Flight
 	if depth <= 0 && s != nil {
 		depth = s.FlightDepth
 	}
-	var st *obsState
+	st := obsState{trace: cfg.Trace}
 	if depth > 0 {
-		st = &obsState{flight: obs.NewFlight(depth)}
+		st.flight = obs.NewFlight(depth)
 	}
-	if s != nil && (s.Metrics != nil || s.Sites != nil) {
-		if st == nil {
-			st = &obsState{}
-		}
-		st.reg = s.Metrics
-		st.sites = s.Sites
-		if st.reg != nil {
-			st.hist = make([]int64, ir.NumOps())
-		}
-		if st.sites != nil {
-			st.local = make(map[*ir.Instr]*siteAccum)
-		}
+	if s != nil {
+		st.reg, st.sites = s.Metrics, s.Sites
+		st.coverage, st.costs = s.Coverage != nil, s.Attrib != nil
 	}
-	if s != nil && s.Coverage != nil {
-		if st == nil {
-			st = &obsState{}
-		}
-		st.cover = make(map[*ir.Instr]*obs.SiteCount)
+	if st.reg != nil {
+		st.hist = make([]int64, ir.NumOps())
 	}
-	if s != nil && s.Attrib != nil {
-		if st == nil {
-			st = &obsState{}
-		}
-		st.attrib = make(map[*ir.Instr]*obs.SiteCost)
+	st.profile = st.sites != nil || st.costs
+	if st.trace == nil && st.flight == nil && st.reg == nil && !st.coverage && !st.profile {
+		return nil
 	}
-	return st
+	armed := st // allocated only when something is armed
+	return &armed
 }
 
-// obsTick observes one retired instruction (both engines call it from
-// their tick under a nil guard).
-func (m *Machine) obsTick(f *ir.Func, in *ir.Instr) {
+// obsTick observes one retired instruction (dtick calls it under a nil
+// guard).
+func (m *Machine) obsTick(d *dfunc, in *ir.Instr, cell int32) {
 	o := m.obs
+	if o.trace != nil {
+		o.trace(d.f, in)
+	}
 	if o.flight != nil {
-		o.flight.Record(f, in)
+		o.flight.Record(d.f, in)
 	}
 	if o.hist != nil {
 		o.hist[in.Op]++
 	}
-	if o.cover != nil && in.Op.IsHardening() {
-		c, ok := o.cover[in]
-		if !ok {
-			c = &obs.SiteCount{}
-			o.cover[in] = c
-		}
-		c.Execs++
-	}
-	if o.local != nil || o.attrib != nil {
+	if o.profile {
 		cyc := m.Meter.C.Cycles
-		if o.prevIn != nil {
-			o.closePrev(cyc)
+		o.closePrev(cyc)
+		if cell >= d.nsites {
+			// dtick counts check sites; the profiler wants every site.
+			d.cells[cell].execs++
 		}
-		o.prevF, o.prevIn, o.prevCyc = f, in, cyc
+		o.prevD, o.prevCell, o.prevCyc = d, cell, cyc
 	}
 }
 
 // closePrev attributes the meter charge since the previous tick to the
-// previous instruction: into the session site profiler (when -hotsites
-// armed it) and, for hardening instructions, into the per-run
-// attribution profile (when -attribution armed it).
+// previous instruction's cell.
 func (o *obsState) closePrev(cyc float64) {
-	d := cyc - o.prevCyc
-	if o.local != nil {
-		acc, ok := o.local[o.prevIn]
-		if !ok {
-			acc = &siteAccum{f: o.prevF}
-			o.local[o.prevIn] = acc
-		}
-		acc.count++
-		acc.cycles += d
-	}
-	if o.attrib != nil && o.prevIn.Op.IsHardening() {
-		c, ok := o.attrib[o.prevIn]
-		if !ok {
-			c = &obs.SiteCost{}
-			o.attrib[o.prevIn] = c
-		}
-		c.Count++
-		c.Cycles += d
+	if o.prevD != nil {
+		o.prevD.cells[o.prevCell].cycles += cyc - o.prevCyc
 	}
 }
 
@@ -266,66 +214,9 @@ func (m *Machine) obsForensics(flt *Fault, in *ir.Instr) *obs.FaultReport {
 	return r
 }
 
-// obsCoverFault counts a fault outcome at a hardening check site.
-func (m *Machine) obsCoverFault(in *ir.Instr) {
-	if m.obs == nil || m.obs.cover == nil || in == nil || !in.Op.IsHardening() {
-		return
-	}
-	c, ok := m.obs.cover[in]
-	if !ok {
-		c = &obs.SiteCount{}
-		m.obs.cover[in] = c
-	}
-	c.Faults++
-}
-
-// obsCoverage folds the machine-local per-site counts into a map keyed
-// by stable site id — the Result.Coverage payload. Sites without an id
-// (un-instrumented modules) are dropped.
-func (m *Machine) obsCoverage() map[string]obs.SiteCount {
-	if m.obs == nil || m.obs.cover == nil {
-		return nil
-	}
-	out := make(map[string]obs.SiteCount, len(m.obs.cover))
-	for in, c := range m.obs.cover {
-		id := in.GetMeta("site")
-		if id == "" {
-			continue
-		}
-		prev := out[id]
-		prev.Execs += c.Execs
-		prev.Faults += c.Faults
-		out[id] = prev
-	}
-	return out
-}
-
-// obsSiteCosts folds the machine-local per-hardening-site cost profile
-// into a map keyed by stable site id — the Result.SiteCosts payload.
-// Sites without an id (un-instrumented modules) are dropped. Unlike
-// obsCoverage this is only meaningful after obsFlush has closed the
-// trailing instruction, which Run guarantees.
-func (m *Machine) obsSiteCosts() map[string]obs.SiteCost {
-	if m.obs == nil || m.obs.attrib == nil {
-		return nil
-	}
-	out := make(map[string]obs.SiteCost, len(m.obs.attrib))
-	for in, c := range m.obs.attrib {
-		id := in.GetMeta("site")
-		if id == "" {
-			continue
-		}
-		prev := out[id]
-		prev.Count += c.Count
-		prev.Cycles += c.Cycles
-		out[id] = prev
-	}
-	return out
-}
-
 // obsFlush publishes everything accumulated since the last flush: the
-// trailing cycle delta, the site profile, the opcode histogram, engine
-// routing, curated counter deltas, and heap arena stats.
+// trailing cycle delta, the site profile deltas, the opcode histogram,
+// engine routing, curated counter deltas, and heap arena stats.
 func (m *Machine) obsFlush() {
 	o := m.obs
 	if o == nil {
@@ -334,18 +225,17 @@ func (m *Machine) obsFlush() {
 	c := m.Meter.C
 	// Attribute the cycles charged after the last tick (the final
 	// instruction's own work) before folding into the shared profile.
-	if o.prevIn != nil {
-		o.closePrev(c.Cycles)
-		o.prevIn = nil
-	}
-	if o.local != nil {
-		for in, acc := range o.local {
-			fn := ""
-			if acc.f != nil {
-				fn = acc.f.FName
+	o.closePrev(c.Cycles)
+	o.prevD = nil
+	if o.sites != nil {
+		for _, d := range m.decoded {
+			d.sent = growCells(d.sent, len(d.cells))
+			for i, cur := range d.cells {
+				if sent := &d.sent[i]; cur.execs != sent.execs || cur.cycles != sent.cycles {
+					o.sites.Add(d.f.FName, d.ins[i].String(), cur.execs-sent.execs, cur.cycles-sent.cycles)
+					*sent = cur
+				}
 			}
-			o.sites.Add(fn, in.String(), acc.count, acc.cycles)
-			delete(o.local, in)
 		}
 	}
 	if o.reg == nil {
@@ -357,19 +247,17 @@ func (m *Machine) obsFlush() {
 			o.hist[op] = 0
 		}
 	}
-	o.reg.Add("vm.instrs", c.Instrs-o.flushedInstrs)
-	o.reg.Add("vm.pa.ops", c.PAInstrs-o.flushedPA)
-	o.reg.Add("vm.canary.ops", c.CanaryOps-o.flushedCanary)
-	o.reg.Add("vm.dfi.ops", c.DFIOps-o.flushedDFI)
-	o.reg.Add("vm.loads", c.Loads-o.flushedLoads)
-	o.reg.Add("vm.stores", c.Stores-o.flushedStores)
-	o.reg.Gauge("vm.cycles").Add(c.Cycles - o.flushedCycles)
-	o.reg.Add("vm.engine.decoded_calls", o.decodedCalls-o.flushedDecoded)
-	o.reg.Add("vm.engine.reference_calls", o.refCalls-o.flushedRef)
-	o.flushedInstrs, o.flushedPA, o.flushedCanary = c.Instrs, c.PAInstrs, c.CanaryOps
-	o.flushedDFI, o.flushedLoads, o.flushedStores = c.DFIOps, c.Loads, c.Stores
-	o.flushedCycles = c.Cycles
-	o.flushedDecoded, o.flushedRef = o.decodedCalls, o.refCalls
+	p := &o.flushed
+	o.reg.Add("vm.instrs", c.Instrs-p.Instrs)
+	o.reg.Add("vm.pa.ops", c.PAInstrs-p.PAInstrs)
+	o.reg.Add("vm.canary.ops", c.CanaryOps-p.CanaryOps)
+	o.reg.Add("vm.dfi.ops", c.DFIOps-p.DFIOps)
+	o.reg.Add("vm.loads", c.Loads-p.Loads)
+	o.reg.Add("vm.stores", c.Stores-p.Stores)
+	o.reg.Gauge("vm.cycles").Add(c.Cycles - p.Cycles)
+	o.reg.Add("vm.engine.decoded_calls", o.decodedCalls)
+	o.reg.Add("vm.engine.reference_calls", o.refCalls)
+	o.flushed, o.decodedCalls, o.refCalls = *c, 0, 0
 
 	sections := [2]struct {
 		name string

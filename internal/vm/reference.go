@@ -2,10 +2,13 @@ package vm
 
 // The reference interpreter: the original tree-walking evaluator that
 // executes the IR directly, resolving every operand through a per-frame
-// map. It is retained verbatim behind Config.Reference as the oracle the
-// differential tests compare the pre-decoded engine against, and as the
-// fallback for the rare function whose def-before-use discipline the
-// decoder cannot prove (see dfunc.refOnly).
+// map. It is the oracle the differential tests compare the pre-decoded
+// engine against, and Config.Reference is its only entry point; no
+// production path runs it. It charges every instruction through the
+// decoded engine's dtick, recording into the same dfunc counter cells,
+// so per-site counts (SitesExecuted, coverage, costs) match across
+// engines. It ignores dfunc.err: a use its def does not dominate
+// faults lazily, when the undefined value is read.
 
 import (
 	"errors"
@@ -37,7 +40,7 @@ func (m *Machine) refInvoke(f *ir.Func, args []uint64) uint64 {
 		}
 		for i, p := range phis {
 			fr.regs[p] = phiVals[i]
-			m.tick(f, p)
+			m.tick(fr, p)
 		}
 		next, done, retv := m.refExecBlock(fr, blk, len(phis))
 		if done {
@@ -45,6 +48,12 @@ func (m *Machine) refInvoke(f *ir.Func, args []uint64) uint64 {
 		}
 		prev, blk = blk, next
 	}
+}
+
+// tick charges one retired instruction through dtick, into the cell the
+// decoded form of the frame's function holds for in.
+func (m *Machine) tick(fr *refFrame, in *ir.Instr) {
+	m.dtick(fr.d, in, fr.d.cellOf(in))
 }
 
 func (m *Machine) refEvalPhi(fr *refFrame, p *ir.Instr, pred *ir.Block) uint64 {
@@ -72,16 +81,16 @@ func (m *Machine) refExecBlock(fr *refFrame, blk *ir.Block, skip int) (next *ir.
 		case ir.OpPhi:
 			panic(m.fault(FaultRuntime, f, in, errors.New("phi after non-phi")))
 		case ir.OpBr:
-			m.tick(f, in)
+			m.tick(fr, in)
 			return in.Succs[0], false, 0
 		case ir.OpCondBr:
-			m.tick(f, in)
+			m.tick(fr, in)
 			if m.refEval(fr, in.Args[0])&1 != 0 {
 				return in.Succs[0], false, 0
 			}
 			return in.Succs[1], false, 0
 		case ir.OpRet:
-			m.tick(f, in)
+			m.tick(fr, in)
 			if len(in.Args) == 1 {
 				return nil, true, m.refEval(fr, in.Args[0])
 			}
@@ -96,7 +105,7 @@ func (m *Machine) refExecBlock(fr *refFrame, blk *ir.Block, skip int) (next *ir.
 // refExecInstr handles every non-control opcode.
 func (m *Machine) refExecInstr(fr *refFrame, in *ir.Instr) {
 	f := fr.f
-	m.tick(f, in)
+	m.tick(fr, in)
 	switch in.Op {
 	case ir.OpAlloca:
 		fr.regs[in] = fr.slotAddr(m, in)
@@ -223,35 +232,10 @@ func (m *Machine) refExecInstr(fr *refFrame, in *ir.Instr) {
 
 	case ir.OpSealStore:
 		val := m.refEval(fr, in.Args[0])
-		addr := m.refEval(fr, in.Args[1])
-		m.Meter.OnStore(addr)
-		if err := m.Mem.WriteUint(addr, val, 8); err != nil {
-			panic(m.fault(memKind(err), f, in, err))
-		}
-		mac := pa.GenericMAC(val, addr, m.Keys.APGA)
-		m.Meter.OnStore(addr + 8)
-		if err := m.Mem.WriteUint(addr+8, mac, 8); err != nil {
-			panic(m.fault(memKind(err), f, in, err))
-		}
+		m.sealStore(f, in, val, m.refEval(fr, in.Args[1]))
 
 	case ir.OpCheckLoad:
-		addr := m.refEval(fr, in.Args[0])
-		m.Meter.OnLoad(addr)
-		val, err := m.Mem.ReadUint(addr, 8)
-		if err != nil {
-			panic(m.fault(memKind(err), f, in, err))
-		}
-		m.Meter.OnLoad(addr + 8)
-		mac, err := m.Mem.ReadUint(addr+8, 8)
-		if err != nil {
-			panic(m.fault(memKind(err), f, in, err))
-		}
-		want := pa.GenericMAC(val, addr, m.Keys.APGA)
-		// Hardware verifies only the PAC-width truncation of the MAC.
-		if mac>>(64-pa.PACBits) != want>>(64-pa.PACBits) {
-			panic(m.fault(FaultPAC, f, in, &sealError{Addr: addr}))
-		}
-		fr.regs[in] = val
+		fr.regs[in] = m.checkLoad(f, in, m.refEval(fr, in.Args[0]))
 
 	case ir.OpObjSeal:
 		addr := m.refEval(fr, in.Args[0])
@@ -260,13 +244,7 @@ func (m *Machine) refExecInstr(fr *refFrame, in *ir.Instr) {
 
 	case ir.OpObjCheck:
 		addr := m.refEval(fr, in.Args[0])
-		size := int(m.refEval(fr, in.Args[1]))
-		if want, sealed := m.objMAC[addr]; sealed {
-			got := m.objectMAC(f, in, addr, size)
-			if got>>(64-pa.PACBits) != want>>(64-pa.PACBits) {
-				panic(m.fault(FaultPAC, f, in, &sealError{Addr: addr, Size: size, object: true}))
-			}
-		}
+		m.objCheck(f, in, addr, int(m.refEval(fr, in.Args[1])))
 
 	case ir.OpCanarySet:
 		// Re-randomization per §4.4 happens simply by executing
@@ -281,19 +259,7 @@ func (m *Machine) refExecInstr(fr *refFrame, in *ir.Instr) {
 		m.dfiRDT[addr] = in.DefID
 
 	case ir.OpChkDef:
-		addr := m.refEval(fr, in.Args[0])
-		if id, ok := m.dfiRDT[addr]; ok {
-			allowed := id == DFIWildcard
-			for _, a := range in.Allowed {
-				if a == id {
-					allowed = true
-					break
-				}
-			}
-			if !allowed {
-				panic(m.fault(FaultDFI, f, in, &dfiError{ID: id, Addr: addr}))
-			}
-		}
+		m.chkDef(f, in, m.refEval(fr, in.Args[0]))
 
 	default:
 		panic(m.fault(FaultRuntime, f, in, fmt.Errorf("unimplemented opcode %s", in.Op)))
@@ -301,25 +267,7 @@ func (m *Machine) refExecInstr(fr *refFrame, in *ir.Instr) {
 }
 
 func (m *Machine) refEvalGEP(fr *refFrame, in *ir.Instr) uint64 {
-	base := m.refEval(fr, in.Args[0])
-	t := in.Args[0].Type().(*ir.PtrType).Elem
-	// First index scales by the pointee size.
-	idx0 := int64(m.refEval(fr, in.Args[1]))
-	addr := base + uint64(idx0*t.Size())
-	for _, iv := range in.Args[2:] {
-		idx := int64(m.refEval(fr, iv))
-		switch ct := t.(type) {
-		case *ir.ArrayType:
-			addr += uint64(idx * ct.Elem.Size())
-			t = ct.Elem
-		case *ir.StructType:
-			addr += uint64(ct.Offset(int(idx)))
-			t = ct.Fields[idx].Type
-		default:
-			panic(m.fault(FaultRuntime, fr.f, in, fmt.Errorf("gep into scalar %s", t)))
-		}
-	}
-	return addr
+	return m.gepWalk(fr.f, in, m.refEval(fr, in.Args[0]), func(i int) int64 { return int64(m.refEval(fr, in.Args[i])) })
 }
 
 func (m *Machine) refExecCall(fr *refFrame, in *ir.Instr) uint64 {
@@ -329,15 +277,7 @@ func (m *Machine) refExecCall(fr *refFrame, in *ir.Instr) uint64 {
 		args[i] = m.refEval(fr, a)
 	}
 	if callee.IsDecl() {
-		v, err := m.intrinsic(fr.f, in, callee, args)
-		if err != nil {
-			var ee *execError
-			if errors.As(err, &ee) {
-				panic(ee)
-			}
-			panic(m.fault(FaultRuntime, fr.f, in, err))
-		}
-		return v
+		return m.callIntrinsic(fr.f, in, callee, args)
 	}
 	return m.invoke(callee, args)
 }

@@ -13,8 +13,8 @@
 // with dense value slots, so the hot loop dispatches over arrays instead
 // of walking the IR with per-value map lookups. The original
 // tree-walking interpreter survives in reference.go behind
-// Config.Reference as the differential-testing oracle; both paths
-// produce byte-identical results.
+// Config.Reference, its only entry point, as the differential-testing
+// oracle; both paths produce byte-identical results.
 package vm
 
 import (
@@ -75,13 +75,8 @@ type Machine struct {
 	// stack-range entries.
 	objMAC map[uint64]uint64
 
-	// siteHits records which static hardening instructions executed at
-	// least once — the Fig. 6(b) "PA instructions executed dynamically"
-	// metric. The decoded engine filters through per-function bitsets
-	// (dfunc.siteSeen) so the map is touched once per site.
-	siteHits map[*ir.Instr]bool
-
-	// decoded caches the pre-decoded form of every executed function;
+	// decoded caches the pre-decoded form of every executed function,
+	// whose counter cells are the machine's only per-site record;
 	// plans caches DefaultPlan results for plan-less functions.
 	decoded map[*ir.Func]*dfunc
 	plans   map[*ir.Func]*ir.StackPlan
@@ -97,16 +92,13 @@ type Machine struct {
 	// sectionInitDone tracks the one-time heap sectioning cost.
 	sectionInitDone bool
 
-	// Trace, when non-nil, receives every executed instruction.
-	Trace func(f *ir.Func, in *ir.Instr)
-
 	// cov receives branch-edge coverage from the decoded engine; nil
 	// whenever coverage is disabled, so taken branches pay one nil check.
 	cov *Coverage
 
-	// obs is the machine's observability attachment (flight recorder,
-	// metrics, site profiling); nil whenever observability is disabled,
-	// so the engines' tick paths pay one nil check.
+	// obs is the machine's observability attachment (trace, flight
+	// recorder, metrics, site profiling); nil whenever observability is
+	// disabled, so the tick path pays one nil check.
 	obs *obsState
 }
 
@@ -130,8 +122,7 @@ type Config struct {
 	// 2× the run time; production callers leave it false.
 	Reference bool
 
-	// Trace, when non-nil, receives every executed instruction (set on
-	// the machine; also settable after New).
+	// Trace, when non-nil, receives every executed instruction.
 	Trace func(f *ir.Func, in *ir.Instr)
 
 	// Flight arms a fault flight recorder keeping the last N executed
@@ -173,11 +164,9 @@ func New(mod *ir.Module, cfg Config) *Machine {
 		funcByAddr:   make(map[uint64]*ir.Func),
 		canaryShadow: make(map[uint64]uint64),
 		objMAC:       make(map[uint64]uint64),
-		siteHits:     make(map[*ir.Instr]bool),
 		decoded:      make(map[*ir.Func]*dfunc),
 		plans:        make(map[*ir.Func]*ir.StackPlan),
 		ref:          cfg.Reference,
-		Trace:        cfg.Trace,
 		cov:          cfg.Cover,
 	}
 	m.obs = newObsState(cfg)
@@ -302,14 +291,17 @@ type Result struct {
 	SitesExecuted int
 
 	// Coverage maps each hardening check site's stable id to its
-	// execution and fault counts for this run. Populated only when the
-	// active obs.Session carries a CoverageAgg; nil otherwise.
+	// execution and fault counts. Populated only when the active
+	// obs.Session carries a CoverageAgg; nil otherwise.
 	Coverage map[string]obs.SiteCount
 
 	// SiteCosts maps each hardening check site's stable id to its
-	// execution count and attributed modeled cycles for this run.
-	// Populated only when the active obs.Session carries an AttribAgg;
-	// nil otherwise.
+	// execution count and attributed modeled cycles. Populated only when
+	// the active obs.Session carries an AttribAgg; nil otherwise.
+	//
+	// SitesExecuted, Coverage and SiteCosts all derive from the same
+	// per-instruction counters and are cumulative over every Run of
+	// the machine.
 	SiteCosts map[string]obs.SiteCost
 }
 
@@ -339,9 +331,8 @@ func (m *Machine) Run(fname string, args ...uint64) (*Result, error) {
 	if m.obs != nil {
 		m.obsFlush()
 	}
-	res := &Result{Ret: ret, Fault: fault, Counters: m.Meter.C, Stdout: m.Stdout, SitesExecuted: len(m.siteHits)}
-	res.Coverage = m.obsCoverage()
-	res.SiteCosts = m.obsSiteCosts()
+	res := &Result{Ret: ret, Fault: fault, Counters: m.Meter.C, Stdout: m.Stdout}
+	m.tallySites(res)
 	return res, nil
 }
 
@@ -358,7 +349,11 @@ func (m *Machine) fault(kind FaultKind, f *ir.Func, in *ir.Instr, err error) *ex
 	if in != nil {
 		flt.Instr = in.String()
 	}
-	m.obsCoverFault(in)
+	if kind != FaultOOF && kind != FaultOOM {
+		// Budget stops end the run wherever it happens to be; they are
+		// not outcomes of the check at that site.
+		m.countSiteFault(f, in)
+	}
 	flt.Forensics = m.obsForensics(flt, in)
 	return &execError{f: flt}
 }
@@ -380,10 +375,11 @@ func (m *Machine) call(f *ir.Func, args []uint64) (ret uint64, fault *Fault) {
 
 const maxDepth = 400
 
-// invoke runs one call of f, dispatching to the decoded engine or the
-// reference interpreter; faults propagate as execError panics so deeply
-// nested interpreter frames unwind without error plumbing on every
-// opcode.
+// invoke runs one call of f on the decoded engine (or, under
+// Config.Reference, the reference interpreter); faults propagate as
+// execError panics so deeply nested interpreter frames unwind without
+// error plumbing on every opcode. A function the decoder could not
+// lower faults on its first call.
 func (m *Machine) invoke(f *ir.Func, args []uint64) uint64 {
 	if m.ref {
 		if m.obs != nil {
@@ -392,13 +388,8 @@ func (m *Machine) invoke(f *ir.Func, args []uint64) uint64 {
 		return m.refInvoke(f, args)
 	}
 	d := m.decodedFunc(f)
-	if d.refOnly {
-		// Functions the decoder cannot prove def-before-use for keep the
-		// exact lazy fault semantics of the tree walker.
-		if m.obs != nil {
-			m.obs.refCalls++
-		}
-		return m.refInvoke(f, args)
+	if d.err != nil {
+		panic(m.fault(FaultRuntime, f, d.errIn, d.err))
 	}
 	if m.obs != nil {
 		m.obs.decodedCalls++
@@ -406,22 +397,63 @@ func (m *Machine) invoke(f *ir.Func, args []uint64) uint64 {
 	return m.execDecoded(d, args)
 }
 
-// tick charges one retired instruction and burns fuel (reference-
-// interpreter path; the decoded engine uses dtick).
-func (m *Machine) tick(f *ir.Func, in *ir.Instr) {
-	if m.Trace != nil {
-		m.Trace(f, in)
+// countSiteFault counts a fault outcome in the cell of the hardening
+// instruction in, when f's decoding holds it.
+func (m *Machine) countSiteFault(f *ir.Func, in *ir.Instr) {
+	if in == nil || !in.Op.IsHardening() {
+		return
 	}
-	if m.obs != nil {
-		m.obsTick(f, in)
+	if d := m.decoded[f]; d != nil {
+		for i, x := range d.ins[:d.nsites] {
+			if x == in {
+				d.cells[i].faults++
+				return
+			}
+		}
 	}
-	if in.Op.IsHardening() {
-		m.siteHits[in] = true
+}
+
+// tallySites derives the per-site results from the machine's counter
+// cells: SitesExecuted always, Coverage and SiteCosts when the
+// observability session asked for them.
+func (m *Machine) tallySites(res *Result) {
+	if o := m.obs; o != nil {
+		if o.coverage {
+			res.Coverage = make(map[string]obs.SiteCount)
+		}
+		if o.costs {
+			res.SiteCosts = make(map[string]obs.SiteCost)
+		}
 	}
-	m.Meter.OnInstr(in.Op)
-	m.Fuel--
-	if m.Fuel <= 0 {
-		panic(m.fault(FaultOOF, f, in, ErrOutOfFuel))
+	for _, d := range m.decoded {
+		for i := range d.cells {
+			c, in := &d.cells[i], d.ins[i]
+			if c.execs == 0 && c.faults == 0 || !in.Op.IsHardening() {
+				continue
+			}
+			if c.execs > 0 {
+				res.SitesExecuted++
+			}
+			if res.Coverage == nil && res.SiteCosts == nil {
+				continue
+			}
+			id := in.GetMeta("site")
+			if id == "" {
+				continue
+			}
+			if res.Coverage != nil {
+				sc := res.Coverage[id]
+				sc.Execs += c.execs
+				sc.Faults += c.faults
+				res.Coverage[id] = sc
+			}
+			if res.SiteCosts != nil && c.execs > 0 {
+				sc := res.SiteCosts[id]
+				sc.Count += c.execs
+				sc.Cycles += c.cycles
+				res.SiteCosts[id] = sc
+			}
+		}
 	}
 }
 
@@ -443,6 +475,107 @@ func (m *Machine) objectMAC(f *ir.Func, in *ir.Instr, addr uint64, size int) uin
 	}
 	m.Meter.OnLoad(addr)
 	return pa.GenericMAC(h, addr, m.Keys.APGA)
+}
+
+// Hardening-op semantics shared by both engines, like the canary ops in
+// frame.go: each takes resolved operands and faults through m.fault.
+
+// sealStore writes val and its pacga MAC into the sealed slot at addr
+// (seal.store).
+func (m *Machine) sealStore(f *ir.Func, in *ir.Instr, val, addr uint64) {
+	m.Meter.OnStore(addr)
+	if err := m.Mem.WriteUint(addr, val, 8); err != nil {
+		panic(m.fault(memKind(err), f, in, err))
+	}
+	mac := pa.GenericMAC(val, addr, m.Keys.APGA)
+	m.Meter.OnStore(addr + 8)
+	if err := m.Mem.WriteUint(addr+8, mac, 8); err != nil {
+		panic(m.fault(memKind(err), f, in, err))
+	}
+}
+
+// checkLoad reads the sealed slot at addr and authenticates its MAC
+// (check.load).
+func (m *Machine) checkLoad(f *ir.Func, in *ir.Instr, addr uint64) uint64 {
+	m.Meter.OnLoad(addr)
+	val, err := m.Mem.ReadUint(addr, 8)
+	if err != nil {
+		panic(m.fault(memKind(err), f, in, err))
+	}
+	m.Meter.OnLoad(addr + 8)
+	mac, err := m.Mem.ReadUint(addr+8, 8)
+	if err != nil {
+		panic(m.fault(memKind(err), f, in, err))
+	}
+	want := pa.GenericMAC(val, addr, m.Keys.APGA)
+	// Hardware verifies only the PAC-width truncation of the MAC.
+	if mac>>(64-pa.PACBits) != want>>(64-pa.PACBits) {
+		panic(m.fault(FaultPAC, f, in, &sealError{Addr: addr}))
+	}
+	return val
+}
+
+// objCheck re-MACs the sealed object at addr and compares (obj.check);
+// an object never sealed passes.
+func (m *Machine) objCheck(f *ir.Func, in *ir.Instr, addr uint64, size int) {
+	if want, sealed := m.objMAC[addr]; sealed {
+		got := m.objectMAC(f, in, addr, size)
+		if got>>(64-pa.PACBits) != want>>(64-pa.PACBits) {
+			panic(m.fault(FaultPAC, f, in, &sealError{Addr: addr, Size: size, object: true}))
+		}
+	}
+}
+
+// chkDef faults unless the last definition recorded at addr is one in
+// permits (dfi.chkdef); untracked addresses pass.
+func (m *Machine) chkDef(f *ir.Func, in *ir.Instr, addr uint64) {
+	id, ok := m.dfiRDT[addr]
+	if !ok || id == DFIWildcard {
+		return
+	}
+	for _, a := range in.Allowed {
+		if a == id {
+			return
+		}
+	}
+	panic(m.fault(FaultDFI, f, in, &dfiError{ID: id, Addr: addr}))
+}
+
+// callIntrinsic runs a declared callee, turning its error into a fault.
+func (m *Machine) callIntrinsic(f *ir.Func, in *ir.Instr, callee *ir.Func, args []uint64) uint64 {
+	v, err := m.intrinsic(f, in, callee, args)
+	if err != nil {
+		var ee *execError
+		if errors.As(err, &ee) {
+			panic(ee)
+		}
+		panic(m.fault(FaultRuntime, f, in, err))
+	}
+	return v
+}
+
+// gepWalk computes a GEP's address by walking its type at execution
+// time; idx(i) yields the value of index operand i, read only once the
+// walk reaches it. The reference interpreter walks every GEP this way;
+// the engine only the shapes decodeGEP cannot fold.
+func (m *Machine) gepWalk(f *ir.Func, in *ir.Instr, base uint64, idx func(i int) int64) uint64 {
+	t := in.Args[0].Type().(*ir.PtrType).Elem
+	// First index scales by the pointee size.
+	addr := base + uint64(idx(1)*t.Size())
+	for i := 2; i < len(in.Args); i++ {
+		x := idx(i)
+		switch ct := t.(type) {
+		case *ir.ArrayType:
+			addr += uint64(x * ct.Elem.Size())
+			t = ct.Elem
+		case *ir.StructType:
+			addr += uint64(ct.Offset(int(x)))
+			t = ct.Fields[x].Type
+		default:
+			panic(m.fault(FaultRuntime, f, in, fmt.Errorf("gep into scalar %s", t)))
+		}
+	}
+	return addr
 }
 
 func widthMask(t ir.Type) uint64 {

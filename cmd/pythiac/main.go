@@ -166,11 +166,10 @@ func main() {
 		if err != nil {
 			fatal("compile: %v", err)
 		}
-		prot, err := core.Protect(mod, scheme)
-		if err != nil {
+		if _, err := core.Protect(mod, scheme); err != nil {
 			fatal("protect: %v", err)
 		}
-		prog = &core.Program{Mod: mod, Protection: prot, Seed: *seed}
+		prog = &core.Program{Mod: mod, Scheme: scheme, Seed: *seed}
 	} else {
 		if prog, err = pl.Build(flag.Arg(0), string(src), scheme); err != nil {
 			fatal("%v", err)
@@ -201,7 +200,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "\n--- %s / %v ---\n", flag.Arg(0), scheme)
 	fmt.Fprintf(os.Stderr, "instructions: %d   cycles: %.0f   IPC: %.2f\n", c.Instrs, c.Cycles, c.IPC())
 	fmt.Fprintf(os.Stderr, "PA ops: %d   loads: %d   stores: %d   LLC misses: %d\n", c.PAInstrs, c.Loads, c.Stores, c.LLCMisses)
-	fmt.Fprintf(os.Stderr, "binary size: %d bytes   static defense instrs: %d\n", core.BinarySize(prog.Mod), prog.Protection.PAInstrs())
+	fmt.Fprintf(os.Stderr, "binary size: %d bytes   static defense instrs: %d\n", core.BinarySize(prog.Mod), len(harden.SiteIDs(prog.Mod)))
 	if res.Fault != nil {
 		fmt.Fprintf(os.Stderr, "FAULT: %v\n", res.Fault)
 		flushObs()

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/core"
@@ -176,12 +177,12 @@ func (r *Runner) Analyze(p *workload.Profile) (*slice.VulnReport, error) {
 	}
 	pp := *p
 	e.once.Do(func() {
-		prog, err := workload.BuildWith(r.pipeline, &pp, core.SchemeVanilla)
+		mod, err := r.pipeline.Compile(pp.Name, workload.Source(&pp))
 		if err != nil {
-			e.err = err
+			e.err = fmt.Errorf("workload %s: %w", pp.Name, err)
 			return
 		}
-		e.vr = core.Analyze(prog.Mod)
+		e.vr = core.Analyze(mod)
 	})
 	return e.vr, e.err
 }

@@ -130,8 +130,8 @@ func Fig6bPAInstructions(cfg *Config) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cs := rs[core.SchemeCPA].Protection.PAInstrs()
-		ps := rs[core.SchemePythia].Protection.PAInstrs()
+		cs := rs[core.SchemeCPA].StaticSites
+		ps := rs[core.SchemePythia].StaticSites
 		// "Practically, in both schemes only ~50% of instrumented PA
 		// instructions are executed dynamically" — we report the share
 		// of static sites that executed at least once.
@@ -339,8 +339,8 @@ func EqBounds(cfg *Config) (*report.Table, error) {
 			return nil, err
 		}
 		t.AddRow(p.Name, b.Branches, b.VulnCPA, b.StackVuln+b.HeapVuln,
-			fmt.Sprintf("%.0f", b.CPABound), rs[core.SchemeCPA].Protection.PAInstrs(),
-			fmt.Sprintf("%.0f", b.PythiaBound), rs[core.SchemePythia].Protection.PAInstrs())
+			fmt.Sprintf("%.0f", b.CPABound), rs[core.SchemeCPA].StaticSites,
+			fmt.Sprintf("%.0f", b.PythiaBound), rs[core.SchemePythia].StaticSites)
 	}
 	t.AddNote("both bounds must dominate the actual insertion counts; Eq. 5 << Eq. 1 because v' << v (the refinement)")
 	return t, nil

@@ -50,22 +50,12 @@ type Protection struct {
 	DFI    *dfi.Report    // nil for the PA schemes
 }
 
-// PAInstrs returns the static count of defense instructions inserted.
-func (p *Protection) PAInstrs() int {
-	switch {
-	case p.Harden != nil:
-		return p.Harden.PAInstrs
-	case p.DFI != nil:
-		return p.DFI.SetDefs + p.DFI.ChkDefs
-	}
-	return 0
-}
-
-// Program is a compiled, protected module ready to run.
+// Program is a compiled, protected module ready to run. Its static
+// defense sites are read from the module itself (harden.SiteIDs).
 type Program struct {
-	Mod        *ir.Module
-	Protection *Protection
-	Seed       int64
+	Mod    *ir.Module
+	Scheme Scheme
+	Seed   int64
 
 	// Cold reports that the Pipeline.Build producing this program ran
 	// the front end or Protect, rather than serving both stages from
@@ -121,7 +111,7 @@ func (p *Program) NewMachine() *vm.Machine {
 
 // Run executes main() with the given stdin contents on a fresh machine.
 func (p *Program) Run(stdin string, args ...uint64) (*vm.Result, error) {
-	end := obs.TraceSpan(fmt.Sprintf("run %s [%v]", p.Mod.Name, p.Protection.Scheme), "vm")
+	end := obs.TraceSpan(fmt.Sprintf("run %s [%v]", p.Mod.Name, p.Scheme), "vm")
 	start := time.Now()
 	m := p.NewMachine()
 	m.Stdin.SetInput([]byte(stdin))

@@ -26,16 +26,12 @@ package core
 // into the module, so sharing one across concurrent VMs is a race).
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/dfi"
-	"repro/internal/harden"
 	"repro/internal/ir"
 	"repro/internal/obs"
 )
@@ -45,8 +41,10 @@ import (
 // either invalidates persisted entries cleanly (stale keys are simply
 // never looked up again). v2: hardened modules carry stable check-site
 // ids in instruction Meta (harden.AssignSites), so v1 artifacts —
-// valid IR but without site identity — must not be served.
-const PipelineVersion = "pythia-pipeline-v2"
+// valid IR but without site identity — must not be served. v3: a
+// harden artifact is the bare ir.EncodeModule bytes; v2 framed them
+// behind a JSON protection report, which v3 would misread as IR.
+const PipelineVersion = "pythia-pipeline-v3"
 
 // Pipeline memoizes the compile and harden stages. The zero value is
 // not usable; construct with NewPipeline or OpenPipeline.
@@ -74,7 +72,6 @@ type compileEntry struct {
 type hardenEntry struct {
 	once sync.Once
 	enc  []byte
-	prot Protection
 	err  error
 }
 
@@ -240,21 +237,17 @@ func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) (e *har
 	}
 	e.once.Do(func() {
 		if pl.store != nil {
-			if raw, ok := pl.store.Get(key); ok {
-				enc, prot, err := decodeHardened(raw)
-				if err == nil {
-					count("pipeline.harden.disk_hits", map[string]string{"name": name, "scheme": scheme.String(), "key": key})
-					e.enc, e.prot = enc, prot
-					return
-				}
+			if enc, ok := pl.store.Get(key); ok {
+				count("pipeline.harden.disk_hits", map[string]string{"name": name, "scheme": scheme.String(), "key": key})
+				e.enc = enc
+				return
 			}
 		}
 		ran = true
 		count("pipeline.harden.misses", map[string]string{"name": name, "scheme": scheme.String()})
 		defer func(start time.Time) { obs.ObserveMS("pipeline.harden.ms", time.Since(start)) }(time.Now())
 		mod := ce.mod.Clone()
-		prot, err := Protect(mod, scheme)
-		if err != nil {
+		if _, err := Protect(mod, scheme); err != nil {
 			e.err = err
 			return
 		}
@@ -263,14 +256,9 @@ func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) (e *har
 			e.err = fmt.Errorf("core: encode hardened %s: %w", name, err)
 			return
 		}
-		e.enc, e.prot = enc, *prot
+		e.enc = enc
 		if pl.store != nil {
-			raw, err := encodeHardened(enc, prot)
-			if err != nil {
-				e.err = fmt.Errorf("core: persist hardened %s: %w", name, err)
-				return
-			}
-			if err := pl.store.Put(key, raw); err != nil {
+			if err := pl.store.Put(key, enc); err != nil {
 				e.err = fmt.Errorf("core: persist hardened %s: %w", name, err)
 			}
 		}
@@ -315,49 +303,5 @@ func (pl *Pipeline) Build(name, src string, scheme Scheme) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reload hardened %s: %w", name, err)
 	}
-	prot := he.prot // copy; reports below are re-pointed at copies
-	if he.prot.Harden != nil {
-		h := *he.prot.Harden
-		prot.Harden = &h
-	}
-	if he.prot.DFI != nil {
-		d := *he.prot.DFI
-		prot.DFI = &d
-	}
-	return &Program{Mod: mod, Protection: &prot, Seed: 42, Cold: compiled || hardened}, nil
-}
-
-// protMeta is the persisted shape of a Protection: the scheme plus
-// whichever report its pass produced. Reports are flat exported-int
-// structs, so JSON round-trips them exactly.
-type protMeta struct {
-	Scheme harden.Scheme  `json:"scheme"`
-	Harden *harden.Report `json:"harden,omitempty"`
-	DFI    *dfi.Report    `json:"dfi,omitempty"`
-}
-
-// encodeHardened frames a harden artifact: varint meta length, the
-// protection metadata JSON, then the module encoding.
-func encodeHardened(enc []byte, prot *Protection) ([]byte, error) {
-	meta, err := json.Marshal(protMeta{Scheme: prot.Scheme, Harden: prot.Harden, DFI: prot.DFI})
-	if err != nil {
-		return nil, err
-	}
-	out := binary.AppendUvarint(nil, uint64(len(meta)))
-	out = append(out, meta...)
-	return append(out, enc...), nil
-}
-
-// decodeHardened splits a harden artifact back into the module encoding
-// and its protection.
-func decodeHardened(raw []byte) ([]byte, Protection, error) {
-	n, sz := binary.Uvarint(raw)
-	if sz <= 0 || n > uint64(len(raw)-sz) {
-		return nil, Protection{}, fmt.Errorf("core: harden artifact header truncated")
-	}
-	var meta protMeta
-	if err := json.Unmarshal(raw[sz:sz+int(n)], &meta); err != nil {
-		return nil, Protection{}, fmt.Errorf("core: harden artifact metadata: %w", err)
-	}
-	return raw[sz+int(n):], Protection{Scheme: meta.Scheme, Harden: meta.Harden, DFI: meta.DFI}, nil
+	return &Program{Mod: mod, Scheme: scheme, Seed: 42, Cold: compiled || hardened}, nil
 }

@@ -3,10 +3,15 @@ package core_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
+	"repro/internal/harden"
+	"repro/internal/ir"
 	"repro/internal/obs"
 )
 
@@ -72,9 +77,6 @@ func TestBuildReturnsOwnedModules(t *testing.T) {
 	}
 	if a.Mod == b.Mod {
 		t.Fatal("cached Build handed out a shared module")
-	}
-	if a.Protection == b.Protection || a.Protection.Harden == b.Protection.Harden {
-		t.Fatal("cached Build handed out shared protection reports")
 	}
 	ra, err := a.Run("bob\n")
 	if err != nil {
@@ -145,8 +147,22 @@ func TestPipelineDiskCache(t *testing.T) {
 	if cold.Mod.String() != warm.Mod.String() {
 		t.Fatal("disk round-trip changed the module")
 	}
-	if *cold.Protection.Harden != *warm.Protection.Harden {
-		t.Fatalf("protection report changed across disk: %+v vs %+v", cold.Protection.Harden, warm.Protection.Harden)
+	if c, w := harden.SiteIDs(cold.Mod), harden.SiteIDs(warm.Mod); !slices.Equal(c, w) || len(c) == 0 {
+		t.Fatalf("site ids changed across disk: %d cold vs %d warm", len(c), len(w))
+	}
+	// The harden artifact is the bare module encoding, nothing framed
+	// around it.
+	compiled, ok := pl2.Store().Get(artifact.Key("compile", core.PipelineVersion, strconv.Itoa(ir.SerialVersion), "t", prog))
+	if !ok {
+		t.Fatal("compile artifact missing")
+	}
+	raw, ok := pl2.Store().Get(artifact.Key("harden", core.PipelineVersion, strconv.Itoa(ir.SerialVersion),
+		artifact.Key(string(compiled)), core.SchemePythia.String()))
+	if !ok {
+		t.Fatal("harden artifact missing")
+	}
+	if mod, err := ir.DecodeModule(raw); err != nil || mod.String() != warm.Mod.String() {
+		t.Fatalf("harden artifact is not the hardened module (err %v)", err)
 	}
 	rc, err := cold.Run("bob\n")
 	if err != nil {

@@ -1,6 +1,7 @@
 package harden_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
@@ -255,19 +256,23 @@ func TestVanillaIsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := mod.NumInstrs()
+	before, err := ir.EncodeModule(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep, err := harden.Apply(mod, harden.Vanilla)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mod.NumInstrs() != before {
+	after, err := ir.EncodeModule(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
 		t.Fatal("vanilla scheme must not touch the module")
 	}
 	if rep.PAInstrs != 0 {
 		t.Fatal("vanilla reports instrumentation")
-	}
-	if rep.Branches == 0 || rep.TotalRoots == 0 {
-		t.Fatal("analysis stats must still be filled")
 	}
 }
 

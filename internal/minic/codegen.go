@@ -35,6 +35,9 @@ func Lower(name string, prog *Program) (*ir.Module, error) {
 			if err != nil {
 				return nil, err
 			}
+			if embeds(ft, st) {
+				return nil, g.errAt(f.Pos, "field %q has incomplete type struct %s", f.Name, sd.Name)
+			}
 			st.Fields = append(st.Fields, ir.StructField{Name: f.Name, Type: ft})
 		}
 	}
@@ -68,6 +71,20 @@ func Lower(name string, prog *Program) (*ir.Module, error) {
 		return nil, fmt.Errorf("minic: generated invalid IR: %w", err)
 	}
 	return mod, nil
+}
+
+// embeds reports whether t holds st by value, directly or as an array
+// element: a struct that contains itself would have infinite size.
+// Only the struct being defined can close such a cycle, since every
+// other struct in scope was complete before its definition began.
+func embeds(t ir.Type, st *ir.StructType) bool {
+	for {
+		at, ok := t.(*ir.ArrayType)
+		if !ok {
+			return t == st
+		}
+		t = at.Elem
+	}
 }
 
 func encodeInt(v uint64, n int) []byte {

@@ -1,6 +1,7 @@
 package minic_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -238,6 +239,31 @@ func TestParseErrors(t *testing.T) {
 		if _, err := minic.Compile("bad", src); err == nil {
 			t.Errorf("expected error for %q", src)
 		}
+	}
+}
+
+// TestRecursiveStructs: a struct holding itself by value has no finite
+// size and is a compile error; through a pointer it is an ordinary
+// linked type.
+func TestRecursiveStructs(t *testing.T) {
+	for _, src := range []string{
+		`struct s { int a; struct s x; }; int main() { struct s v; v.a = 1; return v.a; }`,
+		`struct s { int a; struct s x[2]; }; int main() { return 0; }`,
+	} {
+		var cerr *minic.Error
+		if _, err := minic.Compile("bad", src); !errors.As(err, &cerr) {
+			t.Errorf("%q: want *minic.Error, got %v", src, err)
+		}
+	}
+	res := run(t, `
+struct s { struct s *p; int v; };
+int main() {
+	struct s a; struct s b;
+	b.v = 7; a.p = &b;
+	return a.p->v;
+}`, "")
+	if !res.Ok() || res.Ret != 7 {
+		t.Fatalf("self-pointer struct: ret %d fault %v", res.Ret, res.Fault)
 	}
 }
 

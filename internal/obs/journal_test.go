@@ -162,6 +162,7 @@ func TestJournalDerivedTrace(t *testing.T) {
 	j := NewJournal()
 	end := j.Begin("root", "t")
 	j.Begin("seq1", "t")()
+	j.Point("ping", "t", nil)
 	j.Begin("seq2", "t")()
 	end()
 
@@ -175,6 +176,7 @@ func TestJournalDerivedTrace(t *testing.T) {
 			Phase string         `json:"ph"`
 			PID   int64          `json:"pid"`
 			TID   int64          `json:"tid"`
+			Scope string         `json:"s"`
 			Args  map[string]any `json:"args"`
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`
@@ -185,19 +187,24 @@ func TestJournalDerivedTrace(t *testing.T) {
 	if doc.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit = %q", doc.DisplayTimeUnit)
 	}
-	if len(doc.TraceEvents) != 3 {
-		t.Fatalf("got %d events, want 3", len(doc.TraceEvents))
+	if len(doc.TraceEvents) != 4 {
+		t.Fatalf("got %d events, want 4", len(doc.TraceEvents))
 	}
 	lanes := make(map[string]int64)
 	for _, e := range doc.TraceEvents {
-		if e.PID != 1 || e.TID < 1 || e.Name == "" || e.Phase != "X" {
+		// Spans are complete events; points are thread-scoped instants.
+		shape := e.Phase == "X"
+		if e.Name == "ping" {
+			shape = e.Phase == "i" && e.Scope == "t"
+		}
+		if e.PID != 1 || e.TID < 1 || e.Name == "" || !shape {
 			t.Errorf("malformed event: %+v", e)
 		}
 		lanes[e.Name] = e.TID
 	}
 	// Sequential children share the root's lane: they nest inside it and
-	// are disjoint from each other.
-	if lanes["seq1"] != lanes["root"] || lanes["seq2"] != lanes["root"] {
+	// are disjoint from each other; the point sits on its parent's lane.
+	if lanes["seq1"] != lanes["root"] || lanes["seq2"] != lanes["root"] || lanes["ping"] != lanes["root"] {
 		t.Errorf("sequential children not on parent lane: %v", lanes)
 	}
 }

@@ -1,21 +1,13 @@
 package obs
 
-// Structured tracing in the Chrome trace_event JSON format, loadable in
-// chrome://tracing / Perfetto. The recorder emits complete ("X") events
-// for spans and instant ("i") events for point occurrences; every event
-// carries a thread id derived from the calling goroutine so concurrent
+// Chrome trace_event records, loadable in chrome://tracing / Perfetto.
+// The timeline is a derived view of the journal (Journal.WriteTrace):
+// complete ("X") events for spans and instant ("i") events for points,
+// each carrying a lane derived from span parentage so concurrent
 // prewarm workers render as separate lanes and nested spans (compile
 // inside run inside experiment) stack correctly within a lane.
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"runtime"
-	"sync"
-	"time"
-)
+import "runtime"
 
 // TraceEvent is one trace_event record. Field names follow the Chrome
 // trace-event format specification.
@@ -37,24 +29,6 @@ type traceFile struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// TraceLog records spans and events for one process run.
-type TraceLog struct {
-	mu     sync.Mutex
-	start  time.Time
-	events []TraceEvent
-	lanes  map[int64]int64 // goroutine id -> stable small tid
-}
-
-// NewTraceLog returns an empty recorder with its clock started.
-func NewTraceLog() *TraceLog {
-	return &TraceLog{start: time.Now(), lanes: make(map[int64]int64)}
-}
-
-// now returns microseconds since the trace started.
-func (t *TraceLog) now() float64 {
-	return float64(time.Since(t.start).Nanoseconds()) / 1e3
-}
-
 // goid extracts the current goroutine's id from the runtime stack
 // header ("goroutine N [..."). It is only called on span/event
 // boundaries — compiles, runs, experiments — never per instruction.
@@ -74,83 +48,4 @@ func goid() int64 {
 		id = id*10 + int64(c-'0')
 	}
 	return id
-}
-
-// tidOf maps a goroutine id to a small, stable lane number.
-func (t *TraceLog) tidOf(g int64) int64 {
-	if tid, ok := t.lanes[g]; ok {
-		return tid
-	}
-	tid := int64(len(t.lanes) + 1)
-	t.lanes[g] = tid
-	return tid
-}
-
-func (t *TraceLog) add(ev TraceEvent) {
-	t.mu.Lock()
-	t.events = append(t.events, ev)
-	t.mu.Unlock()
-}
-
-// Span opens a complete-event span named name in category cat and
-// returns the closure that closes it. Safe for concurrent use; spans
-// started on different goroutines land in different lanes.
-func (t *TraceLog) Span(name, cat string) func() {
-	if t == nil {
-		return noopEnd
-	}
-	g := goid()
-	t.mu.Lock()
-	tid := t.tidOf(g)
-	t.mu.Unlock()
-	begin := t.now()
-	return func() {
-		t.add(TraceEvent{
-			Name: name, Cat: cat, Phase: "X",
-			TS: begin, Dur: t.now() - begin, PID: 1, TID: tid,
-		})
-	}
-}
-
-// Instant records a point event (rendered as a flag in the viewer).
-func (t *TraceLog) Instant(name, cat string, args map[string]any) {
-	if t == nil {
-		return
-	}
-	g := goid()
-	t.mu.Lock()
-	tid := t.tidOf(g)
-	t.mu.Unlock()
-	t.add(TraceEvent{
-		Name: name, Cat: cat, Phase: "i", Scope: "t",
-		TS: t.now(), PID: 1, TID: tid, Args: args,
-	})
-}
-
-// Len returns the number of recorded events.
-func (t *TraceLog) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// Write serializes the trace as a Chrome trace_event JSON document.
-func (t *TraceLog) Write(w io.Writer) error {
-	t.mu.Lock()
-	evs := make([]TraceEvent, len(t.events))
-	copy(evs, t.events)
-	t.mu.Unlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(traceFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
-}
-
-// WriteFile writes the trace to path.
-func (t *TraceLog) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: trace: %w", err)
-	}
-	defer f.Close()
-	return t.Write(f)
 }

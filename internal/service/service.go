@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/harden"
 	"repro/internal/obs"
 	"repro/internal/vm"
 )
@@ -423,7 +424,7 @@ func (e *Engine) execute(j *job) (*SubmitResponse, error) {
 		Instrs:        res.Counters.Instrs,
 		PAInstrs:      res.Counters.PAInstrs,
 		Pages:         m.Mem.Footprint(),
-		StaticSites:   prog.Protection.PAInstrs(),
+		StaticSites:   len(harden.SiteIDs(prog.Mod)),
 		ExecutedSites: res.SitesExecuted,
 	}
 	if res.Fault != nil {

@@ -6,6 +6,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -132,9 +133,35 @@ func TestSubmitValidation(t *testing.T) {
 			t.Fatalf("want RequestError for %+v, got %v", bad, err)
 		}
 	}
-	// A compile error is also the client's problem, and memoized.
-	if _, err := e.Submit(&SubmitRequest{Source: "int main( {", Scheme: "pythia"}); !errors.As(err, &reqErr) {
-		t.Fatalf("compile error must be a RequestError, got %v", err)
+	// A compile error is also the client's problem, and memoized. A
+	// struct holding itself by value is one: it has no finite size.
+	for _, src := range []string{
+		"int main( {",
+		"struct s { int a; struct s x; }; int main() { struct s v; v.a = 1; return v.a; }",
+	} {
+		if _, err := e.Submit(&SubmitRequest{Source: src, Scheme: "pythia"}); !errors.As(err, &reqErr) {
+			t.Fatalf("compile error must be a RequestError, got %v", err)
+		}
+	}
+}
+
+// TestHugeFrameIsAFault: a frame larger than the stack span is the
+// program's crash under every scheme, not the host's, and the engine
+// serves the next submission.
+func TestHugeFrameIsAFault(t *testing.T) {
+	e := newEngine(t, Config{Workers: 1})
+	huge := "int main() { char a[1000000000000]; a[0] = 1; return a[0]; }"
+	for _, scheme := range []string{"vanilla", "cpa", "pythia", "dfi"} {
+		r, err := e.Submit(&SubmitRequest{Source: huge, Scheme: scheme})
+		if err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		if r.Verdict != "crashed" || r.Fault == nil || r.Fault.Kind != "runtime" || !strings.Contains(r.Fault.Error, "stack exhausted") {
+			t.Fatalf("%s: verdict=%s fault=%+v, want crashed/runtime stack exhausted", scheme, r.Verdict, r.Fault)
+		}
+	}
+	if r, err := e.Submit(&SubmitRequest{Source: trivial, Scheme: "pythia"}); err != nil || r.Verdict != "clean" {
+		t.Fatalf("next submission: %v %+v", err, r)
 	}
 }
 

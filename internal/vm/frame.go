@@ -79,12 +79,13 @@ func frameSize(plan *ir.StackPlan) int64 {
 // simulation deterministic), DFI table invalidation, canary
 // installation, and seal bootstrap for sealed slots.
 func (m *Machine) pushFrameMem(f *ir.Func, plan *ir.StackPlan, size int64) uint64 {
-	newSP := m.SP - uint64(size)
-	if newSP < mem.StackLimit {
+	// Compare before subtracting: a huge size would wrap SP around past
+	// the limit, and a negative one reads as huge once unsigned.
+	if uint64(size) > m.SP-mem.StackLimit {
 		panic(m.fault(FaultRuntime, f, nil, errors.New("stack exhausted")))
 	}
-	base := newSP
-	m.SP = newSP
+	base := m.SP - uint64(size)
+	m.SP = base
 
 	if int64(len(m.zeroBuf)) < size {
 		m.zeroBuf = make([]byte, size)

@@ -52,8 +52,8 @@ func TestCalibrationBands(t *testing.T) {
 			cpa:          cpaOv,
 			pythia:       pyOv,
 			cyclesBase:   base.Counters.Cycles,
-			staticCPA:    cpa.Protection.PAInstrs(),
-			staticPythia: py.Protection.PAInstrs(),
+			staticCPA:    cpa.StaticSites,
+			staticPythia: py.StaticSites,
 		}
 		rows = append(rows, r)
 		sumC += r.cpa

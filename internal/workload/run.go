@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/harden"
 	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/vm"
@@ -16,7 +17,6 @@ type RunResult struct {
 	Scheme     core.Scheme
 	Counters   *perf.Counters
 	BinarySize int64
-	Protection *core.Protection
 	Ret        uint64
 	Fault      *vm.Fault
 	Stdout     int // bytes of program output (sanity signal)
@@ -118,20 +118,7 @@ func RunWith(pl *core.Pipeline, p *Profile, scheme core.Scheme) (*RunResult, err
 	if res.Fault != nil {
 		return nil, fmt.Errorf("workload %s under %v faulted: %v", p.Name, scheme, res.Fault)
 	}
-	static := 0
-	var siteIDs []string
-	for _, f := range prog.Mod.Defined() {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op.IsHardening() {
-					static++
-					if id := in.GetMeta("site"); id != "" {
-						siteIDs = append(siteIDs, id)
-					}
-				}
-			}
-		}
-	}
+	siteIDs := harden.SiteIDs(prog.Mod)
 	// Defense-coverage telemetry: fold this run's static site inventory
 	// and the VM's per-site dynamic counts into the session aggregate
 	// (no-op unless -coverage armed one).
@@ -147,11 +134,10 @@ func RunWith(pl *core.Pipeline, p *Profile, scheme core.Scheme) (*RunResult, err
 		Scheme:        scheme,
 		Counters:      res.Counters,
 		BinarySize:    core.BinarySize(prog.Mod),
-		Protection:    prog.Protection,
 		Ret:           res.Ret,
 		Fault:         res.Fault,
 		Stdout:        len(res.Stdout),
-		StaticSites:   static,
+		StaticSites:   len(siteIDs),
 		ExecutedSites: res.SitesExecuted,
 		Coverage:      res.Coverage,
 		SiteCosts:     res.SiteCosts,

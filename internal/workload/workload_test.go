@@ -113,8 +113,8 @@ func TestQuickSubsetRepresentatives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Protection == nil || r.Protection.Harden == nil {
-		t.Fatal("protection report missing")
+	if r.Scheme != core.SchemePythia || r.StaticSites == 0 {
+		t.Fatalf("%v run reports %d static sites", r.Scheme, r.StaticSites)
 	}
 	if r.Counters.PAInstrs == 0 {
 		t.Fatal("Pythia run executed no PA instructions")

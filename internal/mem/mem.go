@@ -209,6 +209,24 @@ func (m *Memory) ReadBytes(addr uint64, n int) ([]byte, error) {
 	return out, nil
 }
 
+// ReadRuns passes the n bytes at addr to fn one page run at a time, in
+// address order, without copying them: ReadBytes for callers that only
+// scan the bytes, with the same checks and faults. fn must neither keep
+// nor modify run.
+func (m *Memory) ReadRuns(addr uint64, n int, fn func(run []byte)) error {
+	if err := m.check(addr, n, "load"); err != nil {
+		return err
+	}
+	for i := 0; i < n; {
+		a := addr + uint64(i)
+		off := int(a % pageSize)
+		run := m.page(a)[off:min(pageSize, off+n-i)]
+		fn(run)
+		i += len(run)
+	}
+	return nil
+}
+
 // WriteBytes stores b at addr.
 func (m *Memory) WriteBytes(addr uint64, b []byte) error {
 	if err := m.check(addr, len(b), "store"); err != nil {

@@ -264,9 +264,16 @@ func (g *gen) genStmt(s Stmt) error {
 		_, err := g.genExpr(st.X)
 		return err
 	case *ReturnStmt:
+		void := g.f.Sig.Ret.Equal(ir.Void)
 		if st.X == nil {
+			if !void {
+				return g.errAt(st.Pos, "return without a value in function %q returning a value", g.f.FName)
+			}
 			g.b.Ret(nil)
 			return nil
+		}
+		if void {
+			return g.errAt(st.Pos, "return with a value in void function %q", g.f.FName)
 		}
 		v, err := g.genExpr(st.X)
 		if err != nil {

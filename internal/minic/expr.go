@@ -403,6 +403,11 @@ func (g *gen) genCall(x *Call) (cval, error) {
 	if callee == nil {
 		return cval{}, g.errAt(x.Pos, "call to undefined function %q", x.Name)
 	}
+	if np := len(callee.Sig.Params); callee.Sig.Variadic && len(x.Args) < np {
+		return cval{}, g.errAt(x.Pos, "call to %q with %d arguments, want at least %d", x.Name, len(x.Args), np)
+	} else if !callee.Sig.Variadic && len(x.Args) != np {
+		return cval{}, g.errAt(x.Pos, "call to %q with %d arguments, want %d", x.Name, len(x.Args), np)
+	}
 	var args []ir.Value
 	for i, ae := range x.Args {
 		av, err := g.genExpr(ae)

@@ -267,6 +267,37 @@ int main() {
 	}
 }
 
+// TestTypeCheckErrors: calls with the wrong arity and returns that do
+// not match the function's return type are positioned front-end
+// errors, not invalid IR caught by the verifier.
+func TestTypeCheckErrors(t *testing.T) {
+	cases := []struct {
+		src, msg  string
+		line, col int
+	}{
+		{"int f(int a) { return a; }\nint main() { return f(1, 2); }", `call to "f" with 2 arguments, want 1`, 2, 21},
+		{"int f(int a, int b) { return a; }\nint main() { return f(1); }", `call to "f" with 1 arguments, want 2`, 2, 21},
+		{"int main() { printf(); return 0; }", `call to "printf" with 0 arguments, want at least 1`, 1, 14},
+		{"void g() { return 3; }\nint main() { g(); return 0; }", `return with a value in void function "g"`, 1, 12},
+		{"int main() { return; }", `return without a value in function "main" returning a value`, 1, 14},
+	}
+	for _, c := range cases {
+		_, err := minic.Compile("bad", c.src)
+		var cerr *minic.Error
+		if !errors.As(err, &cerr) {
+			t.Errorf("%q: want *minic.Error, got %v", c.src, err)
+			continue
+		}
+		if cerr.Msg != c.msg || cerr.Line != c.line || cerr.Col != c.col {
+			t.Errorf("%q: got %d:%d %q, want %d:%d %q", c.src, cerr.Line, cerr.Col, cerr.Msg, c.line, c.col, c.msg)
+		}
+	}
+	// Variadic extras and a bare return in a void function still compile.
+	if _, err := minic.Compile("ok", `void g() { return; } int main() { g(); printf("%d %d\n", 1, 2); return 0; }`); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestVerifiedIR(t *testing.T) {
 	mod, err := minic.Compile("t", `
 int main() {

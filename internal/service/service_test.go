@@ -134,10 +134,13 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 	// A compile error is also the client's problem, and memoized. A
-	// struct holding itself by value is one: it has no finite size.
+	// struct holding itself by value is one: it has no finite size. So
+	// are a call with the wrong arity and a value returned from void.
 	for _, src := range []string{
 		"int main( {",
 		"struct s { int a; struct s x; }; int main() { struct s v; v.a = 1; return v.a; }",
+		"int f(int a) { return a; } int main() { return f(1, 2); }",
+		"void g() { return 3; } int main() { g(); return 0; }",
 	} {
 		if _, err := e.Submit(&SubmitRequest{Source: src, Scheme: "pythia"}); !errors.As(err, &reqErr) {
 			t.Fatalf("compile error must be a RequestError, got %v", err)

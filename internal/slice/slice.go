@@ -19,7 +19,6 @@ package slice
 
 import (
 	"repro/internal/alias"
-	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/inputchan"
 	"repro/internal/ir"
@@ -49,7 +48,10 @@ const (
 	GroundDepth = 6
 )
 
-// Analysis caches the per-module structures slicing needs.
+// Analysis caches the per-module structures slicing needs. It numbers
+// every slice-able value of the module with a dense slot at
+// construction, so the module must not change while the Analysis is in
+// use.
 type Analysis struct {
 	Mod   *ir.Module
 	AA    *alias.Result
@@ -61,16 +63,36 @@ type Analysis struct {
 	// pointer onto any frame-local object).
 	Taint *Taint
 
+	// Dense numbering (dense.go): a defined function's instructions take
+	// slots instr+Instr.ID, its params param+Index; globals follow.
+	funcSlots  map[*ir.Func]funcSlots
+	globalSlot map[*ir.Global]int32
+	nslots     int
+	// taintRoots and taintVals are Taint as slot bitsets.
+	taintRoots, taintVals bitset
+
 	chains    map[*ir.Func]*dataflow.Chains
-	graphs    map[*ir.Func]*cfg.Graph
 	callersOf map[*ir.Func][]*ir.Instr
 	// globalStores maps each global to every store writing it anywhere.
 	globalStores map[*ir.Global][]*ir.Instr
 	// unresolvedStores lists stores whose address has no static root,
 	// per function — candidates for alias-based slice extension.
-	unresolvedStores map[*ir.Func][]*ir.Instr
+	unresolvedStores map[*ir.Func][]unresolvedStore
 	// icByCall maps an input-channel call instruction to its site info.
 	icByCall map[*ir.Instr]inputchan.CallSite
+	// writers maps a memory root's slot to the indices into Sites of the
+	// channels whose destination may be that root, in Sites order.
+	writers map[int32][]int32
+	// siteSlot is the slot of each Sites[i].Call.
+	siteSlot []int32
+}
+
+// unresolvedStore is a store without a static address root.
+type unresolvedStore struct {
+	st *ir.Instr
+	// tainted reports that the address computation involves an
+	// input-channel-tainted value.
+	tainted bool
 }
 
 // NewAnalysis scans mod and prepares the shared analysis state.
@@ -80,16 +102,15 @@ func NewAnalysis(mod *ir.Module) *Analysis {
 		AA:               alias.Analyze(mod),
 		Sites:            inputchan.Scan(mod),
 		chains:           make(map[*ir.Func]*dataflow.Chains),
-		graphs:           make(map[*ir.Func]*cfg.Graph),
 		callersOf:        make(map[*ir.Func][]*ir.Instr),
 		globalStores:     make(map[*ir.Global][]*ir.Instr),
-		unresolvedStores: make(map[*ir.Func][]*ir.Instr),
+		unresolvedStores: make(map[*ir.Func][]unresolvedStore),
 		icByCall:         make(map[*ir.Instr]inputchan.CallSite),
+		writers:          make(map[int32][]int32),
 	}
 	for _, f := range mod.Defined() {
 		f.Renumber()
 		a.chains[f] = dataflow.Build(f)
-		a.graphs[f] = cfg.New(f)
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				switch in.Op {
@@ -101,21 +122,52 @@ func NewAnalysis(mod *ir.Module) *Analysis {
 						a.globalStores[g] = append(a.globalStores[g], in)
 					}
 					if root == nil {
-						a.unresolvedStores[f] = append(a.unresolvedStores[f], in)
+						a.unresolvedStores[f] = append(a.unresolvedStores[f], unresolvedStore{st: in})
 					}
 				}
 			}
 		}
 	}
-	for _, s := range a.Sites {
-		a.icByCall[s.Call] = s
+	a.number()
+	c := slotter{a: a}
+	// Channel writers: each site goes under every root a destination
+	// argument may name, directly or through its points-to set.
+	a.siteSlot = make([]int32, len(a.Sites))
+	for i, site := range a.Sites {
+		a.icByCall[site.Call] = site
+		a.siteSlot[i] = c.slot(site.Call)
+		for j, arg := range site.Call.Args {
+			if !destArg(site, j) {
+				continue
+			}
+			if root := dataflow.MemRoot(arg); root != nil {
+				a.addWriter(c.slot(root), i)
+			}
+			for _, obj := range a.AA.PointsTo(arg) {
+				if r := objectRoot(obj); r != nil {
+					a.addWriter(c.slot(r), i)
+				}
+			}
+		}
 	}
-	a.Taint = a.InputChannelConstruction()
+	a.Taint = a.inputChannelConstruction()
+	for _, us := range a.unresolvedStores {
+		for i := range us {
+			us[i].tainted = a.taintedAddress(&c, us[i].st.Args[1], 0)
+		}
+	}
 	return a
 }
 
-// Graph returns the cached CFG for f.
-func (a *Analysis) Graph(f *ir.Func) *cfg.Graph { return a.graphs[f] }
+// addWriter records Sites[site] as a channel that may write the root in
+// slot. Sites are added in order, so a repeat is always the last entry.
+func (a *Analysis) addWriter(slot int32, site int) {
+	ws := a.writers[slot]
+	if n := len(ws); n > 0 && ws[n-1] == int32(site) {
+		return
+	}
+	a.writers[slot] = append(ws, int32(site))
+}
 
 // Chains returns the cached def-use chains for f.
 func (a *Analysis) Chains(f *ir.Func) *dataflow.Chains { return a.chains[f] }
@@ -126,13 +178,15 @@ type BranchSlice struct {
 	Fn     *ir.Func
 	Mode   Mode
 
-	// Instrs is the set of instructions in the slice (all functions).
-	Instrs map[*ir.Instr]bool
+	// Instrs is the set of instructions in the slice (all functions),
+	// each once, in discovery order.
+	Instrs []*ir.Instr
 	// Roots is the branch sub-variable set restricted to memory roots
 	// (allocas, globals, pointer params) — the instrumentable variables.
 	Roots map[ir.Value]bool
-	// Values is every SSA value in the sub-variable set.
-	Values map[ir.Value]bool
+	// Values is every SSA value in the sub-variable set, each once, in
+	// discovery order.
+	Values []ir.Value
 	// ICs are the input-channel calls whose writes reach the slice.
 	ICs []inputchan.CallSite
 	// Terminated reports that the slicer stopped early at pointer
@@ -162,7 +216,7 @@ func (s *BranchSlice) Distance() int {
 	minID := s.Branch.ID
 	span := 0
 	perFunc := make(map[*ir.Func][2]int) // min, max IDs of foreign spans
-	for in := range s.Instrs {
+	for _, in := range s.Instrs {
 		if in.Block == nil {
 			continue
 		}
@@ -193,87 +247,65 @@ func (s *BranchSlice) Distance() int {
 	return span
 }
 
-// task is one worklist entry: a value to decompose at a given
-// interprocedural depth.
-type task struct {
-	v     ir.Value
-	depth int
-}
-
 // BranchDecomposition computes the branch sub-variable set of br
-// (Algorithm 1 of the paper) under the given mode.
+// (Algorithm 1 of the paper) under the given mode. The worklist holds
+// (value, depth) tasks; a value reached again at a new depth is decomposed
+// again, and PointerVars counts every task.
 func (a *Analysis) BranchDecomposition(br *ir.Instr, mode Mode) *BranchSlice {
-	f := br.Block.Parent
 	s := &BranchSlice{
 		Branch: br,
-		Fn:     f,
+		Fn:     br.Block.Parent,
 		Mode:   mode,
-		Instrs: make(map[*ir.Instr]bool),
 		Roots:  make(map[ir.Value]bool),
-		Values: make(map[ir.Value]bool),
 	}
-	maxDepth := PythiaDepth
-	switch mode {
-	case ModeDFI:
-		maxDepth = 0
-	case ModeGround:
-		maxDepth = GroundDepth
-	}
-	seen := make(map[task]bool)
-	var work []task
-	push := func(v ir.Value, depth int) {
-		if v == nil || depth > maxDepth {
-			return
+	sl := newSlicer(a, s)
+	defer sl.release()
+	sl.push(br.Args[0], 0)
+	for len(sl.work) > 0 {
+		t := sl.pop()
+		if sl.mark(t.slot, inValues) {
+			sl.values = append(sl.values, t.v)
 		}
-		if _, isConst := v.(*ir.Const); isConst {
-			return
-		}
-		t := task{v, depth}
-		if !seen[t] {
-			seen[t] = true
-			work = append(work, t)
-		}
-	}
-	push(br.Args[0], 0)
-	icSeen := make(map[*ir.Instr]bool)
-
-	for len(work) > 0 {
-		t := work[len(work)-1]
-		work = work[:len(work)-1]
-		s.Values[t.v] = true
 		if ir.IsPtr(t.v.Type()) {
 			s.PointerVars++
 		}
+		depth := int(t.depth)
 		switch v := t.v.(type) {
 		case *ir.Param:
 			s.Roots[v] = true
 			// Interprocedural: extend into callers' argument values.
-			if t.depth < maxDepth {
+			if depth < sl.maxDepth {
 				for _, call := range a.callersOf[v.Parent] {
 					if v.Index < len(call.Args) {
-						s.Instrs[call] = true
-						push(call.Args[v.Index], t.depth+1)
+						sl.addInstr(call)
+						sl.push(call.Args[v.Index], depth+1)
 					}
 				}
 			}
 		case *ir.Global:
 			s.Roots[v] = true
-			a.expandRoot(s, v, t.depth, push, icSeen)
+			sl.expandRoot(v, t.slot, depth)
 		case *ir.Instr:
-			a.expandInstr(s, v, t.depth, push, icSeen)
+			sl.expandInstr(v, t.slot, depth)
 		}
 	}
+	s.Values = exact(sl.values)
+	s.Instrs = exact(sl.instrs)
+	s.ICs = exact(sl.ics)
 	return s
 }
 
 // expandInstr adds one defining instruction to the slice and pushes the
 // values it depends on.
-func (a *Analysis) expandInstr(s *BranchSlice, in *ir.Instr, depth int, push func(ir.Value, int), icSeen map[*ir.Instr]bool) {
-	s.Instrs[in] = true
+func (sl *slicer) expandInstr(in *ir.Instr, slot int32, depth int) {
+	a, s := sl.a, sl.s
+	if sl.mark(slot, inInstrs) {
+		sl.instrs = append(sl.instrs, in)
+	}
 	switch in.Op {
 	case ir.OpAlloca:
 		s.Roots[in] = true
-		a.expandRoot(s, in, depth, push, icSeen)
+		sl.expandRoot(in, slot, depth)
 
 	case ir.OpLoad:
 		addr := in.Args[0]
@@ -284,49 +316,48 @@ func (a *Analysis) expandInstr(s *BranchSlice, in *ir.Instr, depth int, push fun
 		}
 		root := dataflow.MemRoot(addr)
 		if root != nil {
-			push(root, depth)
+			sl.push(root, depth)
 		} else if s.Mode != ModeDFI {
 			// Computed address: use alias sets to find the objects this
 			// load may read, then follow their definitions.
 			for _, obj := range a.AA.PointsTo(addr) {
 				if r := objectRoot(obj); r != nil {
-					push(r, depth)
+					sl.push(r, depth)
 				}
 			}
 		} else {
 			s.Terminated = true
 		}
-		push(addr, depth) // the address computation is part of the slice
+		sl.push(addr, depth) // the address computation is part of the slice
 
 	case ir.OpStore:
 		// A store reached via a root expansion: the stored value and the
 		// address computation both join the slice.
-		push(in.Args[0], depth)
-		push(in.Args[1], depth)
+		sl.push(in.Args[0], depth)
+		sl.push(in.Args[1], depth)
 
 	case ir.OpCall:
 		if isAllocCall(in) {
 			// A heap allocation site is itself a branch sub-variable
 			// root: the object's contents feed the predicate.
 			s.Roots[in] = true
-			a.expandRoot(s, in, depth, push, icSeen)
+			sl.expandRoot(in, slot, depth)
 			return
 		}
 		if site, ok := a.icByCall[in]; ok {
-			if !icSeen[in] {
-				icSeen[in] = true
-				s.ICs = append(s.ICs, site)
+			if sl.mark(slot, inICs) {
+				sl.ics = append(sl.ics, site)
 			}
 			// The channel's own operands (source buffer etc.) are
 			// attacker-reachable; include them.
 			for _, arg := range in.Args {
-				push(arg, depth)
+				sl.push(arg, depth)
 			}
 			return
 		}
 		if in.Callee.IsDecl() {
 			for _, arg := range in.Args {
-				push(arg, depth)
+				sl.push(arg, depth)
 			}
 			return
 		}
@@ -334,18 +365,18 @@ func (a *Analysis) expandInstr(s *BranchSlice, in *ir.Instr, depth int, push fun
 		if s.Mode == ModeDFI {
 			return // DFI does not cross calls
 		}
-		if depth < maxDepthFor(s.Mode) {
+		if depth < sl.maxDepth {
 			for _, b := range in.Callee.Blocks {
 				for _, ci := range b.Instrs {
 					if ci.Op == ir.OpRet && len(ci.Args) == 1 {
-						s.Instrs[ci] = true
-						push(ci.Args[0], depth+1)
+						sl.addInstr(ci)
+						sl.push(ci.Args[0], depth+1)
 					}
 				}
 			}
 		}
 		for _, arg := range in.Args {
-			push(arg, depth)
+			sl.push(arg, depth)
 		}
 
 	case ir.OpGEP:
@@ -354,12 +385,12 @@ func (a *Analysis) expandInstr(s *BranchSlice, in *ir.Instr, depth int, push fun
 			return
 		}
 		for _, arg := range in.Args {
-			push(arg, depth)
+			sl.push(arg, depth)
 		}
 
 	case ir.OpPhi:
 		for _, e := range in.Incoming {
-			push(e.Val, depth)
+			sl.push(e.Val, depth)
 		}
 
 	case ir.OpIntToPtr, ir.OpPtrToInt:
@@ -367,77 +398,59 @@ func (a *Analysis) expandInstr(s *BranchSlice, in *ir.Instr, depth int, push fun
 			s.Terminated = true
 			return
 		}
-		push(in.Args[0], depth)
+		sl.push(in.Args[0], depth)
 
 	default:
 		for _, arg := range in.Args {
-			push(arg, depth)
+			sl.push(arg, depth)
 		}
 	}
 }
 
-// expandRoot pushes every definition of a memory root: its direct
-// stores, stores through may-aliasing pointers (ModeFull/Ground), and
-// input-channel calls that write it.
-func (a *Analysis) expandRoot(s *BranchSlice, root ir.Value, depth int, push func(ir.Value, int), icSeen map[*ir.Instr]bool) {
-	obj := a.AA.ObjectOf(root)
+// expandRoot pushes every definition of the memory root in slot: its
+// direct stores, stores through may-aliasing pointers (ModeFull/Ground),
+// and input-channel calls that write it.
+func (sl *slicer) expandRoot(root ir.Value, slot int32, depth int) {
+	a, s := sl.a, sl.s
 	// Direct stores (same function for allocas; module-wide for globals).
 	switch r := root.(type) {
 	case *ir.Global:
 		for _, st := range a.globalStores[r] {
-			s.Instrs[st] = true
-			push(st.Args[0], depth)
-			push(st.Args[1], depth)
+			sl.addStore(st, depth)
 		}
-	case *ir.Instr: // alloca
+	case *ir.Instr: // alloca or heap allocation site
 		fn := r.Block.Parent
 		for _, st := range a.chains[fn].MemDefs[root] {
-			s.Instrs[st] = true
-			push(st.Args[0], depth)
-			push(st.Args[1], depth)
+			sl.addStore(st, depth)
 		}
 		if s.Mode != ModeDFI {
 			// Stores through pointers that may alias this object, or
 			// whose address depends on attacker-tainted arithmetic — the
 			// pointer-misdirection vector of §3 can position such a
 			// pointer onto any object in the frame.
-			for _, st := range a.unresolvedStores[fn] {
-				if (obj != nil && a.AA.MayPointToObject(st.Args[1], obj)) || a.taintedAddress(st.Args[1], 0) {
-					s.Instrs[st] = true
-					push(st.Args[0], depth)
-					push(st.Args[1], depth)
+			obj := a.AA.ObjectOf(root)
+			for _, u := range a.unresolvedStores[fn] {
+				if u.tainted || (obj != nil && a.AA.MayPointToObject(u.st.Args[1], obj)) {
+					sl.addStore(u.st, depth)
 				}
 			}
 		}
 	}
 	// Input channels that write this object.
-	for _, site := range a.Sites {
-		if a.channelWrites(site, root, obj) {
-			if !icSeen[site.Call] {
-				icSeen[site.Call] = true
-				s.ICs = append(s.ICs, site)
-			}
-			s.Instrs[site.Call] = true
+	for _, i := range a.writers[slot] {
+		if sl.mark(a.siteSlot[i], inICs) {
+			sl.ics = append(sl.ics, a.Sites[i])
 		}
+		sl.addInstr(a.Sites[i].Call)
 	}
 }
 
-// channelWrites reports whether the channel call's destination may be
-// the given root object.
-func (a *Analysis) channelWrites(site inputchan.CallSite, root ir.Value, obj *alias.Object) bool {
-	call := site.Call
-	for i, arg := range call.Args {
-		if !destArg(site, i) {
-			continue
-		}
-		if dataflow.MemRoot(arg) == root {
-			return true
-		}
-		if obj != nil && a.AA.MayPointToObject(arg, obj) {
-			return true
-		}
-	}
-	return false
+// addStore adds a store defining a root to the slice, with the stored
+// value and the address computation.
+func (sl *slicer) addStore(st *ir.Instr, depth int) {
+	sl.addInstr(st)
+	sl.push(st.Args[0], depth)
+	sl.push(st.Args[1], depth)
 }
 
 // destArg mirrors inputchan.isDestArg for resolved sites.
@@ -511,11 +524,11 @@ func isAllocCall(in *ir.Instr) bool {
 
 // taintedAddress reports whether the address computation v involves an
 // input-channel-tainted value (bounded walk).
-func (a *Analysis) taintedAddress(v ir.Value, depth int) bool {
-	if depth > 6 || a.Taint == nil {
+func (a *Analysis) taintedAddress(c *slotter, v ir.Value, depth int) bool {
+	if depth > 6 {
 		return false
 	}
-	if a.Taint.Values[v] || a.Taint.Roots[v] {
+	if slot := c.slot(v); a.taintVals.has(slot) || a.taintRoots.has(slot) {
 		return true
 	}
 	in, ok := v.(*ir.Instr)
@@ -523,17 +536,17 @@ func (a *Analysis) taintedAddress(v ir.Value, depth int) bool {
 		return false
 	}
 	if in.Op == ir.OpLoad {
-		if root := dataflow.MemRoot(in.Args[0]); root != nil && a.Taint.Roots[root] {
+		if root := dataflow.MemRoot(in.Args[0]); root != nil && a.taintRoots.has(c.slot(root)) {
 			return true
 		}
 	}
 	for _, arg := range in.Args {
-		if a.taintedAddress(arg, depth+1) {
+		if a.taintedAddress(c, arg, depth+1) {
 			return true
 		}
 	}
 	for _, e := range in.Incoming {
-		if a.taintedAddress(e.Val, depth+1) {
+		if a.taintedAddress(c, e.Val, depth+1) {
 			return true
 		}
 	}

@@ -303,6 +303,37 @@ int main() {
 	}
 }
 
+// TestPointerVarsCountsTasks: PointerVars counts (value, depth) tasks,
+// not distinct values. The recursive call reaches the pointer param p
+// again one call deeper at every depth up to GroundDepth, so p counts
+// once per depth while Values lists it once.
+func TestPointerVarsCountsTasks(t *testing.T) {
+	vr := analyze(t, `
+long walk(long *p, long n) {
+	if (*p == n) { return n; }
+	return walk(p, n + 1);
+}
+int main() {
+	long x;
+	x = 3;
+	return walk(&x, 0);
+}`)
+	brs := branchesIn(vr, "walk")
+	if len(brs) != 1 {
+		t.Fatalf("%d branches in walk, want 1", len(brs))
+	}
+	g := brs[0].Ground
+	distinct := 0
+	for _, v := range g.Values {
+		if ir.IsPtr(v.Type()) {
+			distinct++
+		}
+	}
+	if g.PointerVars <= distinct {
+		t.Fatalf("PointerVars = %d, want more than the %d distinct pointer values", g.PointerVars, distinct)
+	}
+}
+
 func TestHeapRootInSlice(t *testing.T) {
 	vr := analyze(t, `
 int main() {

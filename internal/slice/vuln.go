@@ -16,32 +16,24 @@ type Taint struct {
 	Values map[ir.Value]bool
 }
 
-// InputChannelConstruction computes the module-wide forward slice of
+// inputChannelConstruction computes the module-wide forward slice of
 // input-channel writes: starting from each channel's destination
 // objects, taint propagates through loads, arithmetic, stores, calls and
 // returns to a fixpoint (§4.1: "the exact reverse of the branch
-// decomposition algorithm").
-func (a *Analysis) InputChannelConstruction() *Taint {
-	t := &Taint{Roots: make(map[ir.Value]bool), Values: make(map[ir.Value]bool)}
+// decomposition algorithm"). The fixpoint runs over slot bitsets, which
+// the Analysis keeps; the returned maps are built once at the end.
+func (a *Analysis) inputChannelConstruction() *Taint {
+	c := &slotter{a: a}
+	roots, vals := newBitset(a.nslots), newBitset(a.nslots)
 
 	// Seed: objects written by channels.
-	for _, site := range a.Sites {
-		for i, arg := range site.Call.Args {
-			if !destArg(site, i) {
-				continue
-			}
-			if root := dataflow.MemRoot(arg); root != nil {
-				t.Roots[root] = true
-			}
-			for _, obj := range a.AA.PointsTo(arg) {
-				if r := objectRoot(obj); r != nil {
-					t.Roots[r] = true
-				}
-			}
-		}
+	for slot := range a.writers {
+		roots.add(slot)
+	}
+	for i, site := range a.Sites {
 		// Scan-style channels also taint their value results (x = atoi).
 		if site.Kind == ir.KindScan || site.Kind == ir.KindGet {
-			t.Values[site.Call] = true
+			vals.add(a.siteSlot[i])
 		}
 	}
 
@@ -52,40 +44,53 @@ func (a *Analysis) InputChannelConstruction() *Taint {
 		for _, f := range a.Mod.Defined() {
 			for _, b := range f.Blocks {
 				for _, in := range b.Instrs {
-					if a.propagate(t, in) {
+					if a.propagate(c, roots, vals, in) {
 						changed = true
 					}
 				}
 			}
 		}
 	}
+
+	a.taintRoots, a.taintVals = roots, vals
+	t := &Taint{Roots: make(map[ir.Value]bool), Values: make(map[ir.Value]bool)}
+	a.eachSlot(func(slot int32, v ir.Value) {
+		if roots.has(slot) {
+			t.Roots[v] = true
+		}
+		if vals.has(slot) {
+			t.Values[v] = true
+		}
+	})
 	return t
 }
 
 // propagate applies one instruction's taint transfer; reports change.
-func (a *Analysis) propagate(t *Taint, in *ir.Instr) bool {
+func (a *Analysis) propagate(c *slotter, roots, vals bitset, in *ir.Instr) bool {
 	tainted := func(v ir.Value) bool {
-		if t.Values[v] || t.Roots[v] {
-			return true
-		}
-		return false
+		slot := c.slot(v)
+		return vals.has(slot) || roots.has(slot)
 	}
-	mark := func(v ir.Value) bool {
-		if v == nil || t.Values[v] {
-			return false
+	mark := func(v ir.Value) bool { return vals.add(c.slot(v)) }
+	// taintPointees taints every object the pointer p may point to.
+	taintPointees := func(p ir.Value) bool {
+		ch := false
+		for _, obj := range a.AA.PointsTo(p) {
+			if r := objectRoot(obj); r != nil && roots.add(c.slot(r)) {
+				ch = true
+			}
 		}
-		t.Values[v] = true
-		return true
+		return ch
 	}
 	switch in.Op {
 	case ir.OpLoad:
 		root := dataflow.MemRoot(in.Args[0])
-		if (root != nil && t.Roots[root]) || tainted(in.Args[0]) {
+		if (root != nil && roots.has(c.slot(root))) || tainted(in.Args[0]) {
 			return mark(in)
 		}
 		// Loads through tainted aliases.
 		for _, obj := range a.AA.PointsTo(in.Args[0]) {
-			if r := objectRoot(obj); r != nil && t.Roots[r] {
+			if r := objectRoot(obj); r != nil && roots.has(c.slot(r)) {
 				return mark(in)
 			}
 		}
@@ -94,20 +99,14 @@ func (a *Analysis) propagate(t *Taint, in *ir.Instr) bool {
 			return false
 		}
 		ch := false
-		if root := dataflow.MemRoot(in.Args[1]); root != nil && !t.Roots[root] {
-			t.Roots[root] = true
+		if root := dataflow.MemRoot(in.Args[1]); root != nil && roots.add(c.slot(root)) {
 			ch = true
 		}
-		if tainted(in.Args[1]) || tainted(in.Args[0]) {
-			// Storing a tainted value, or storing through a tainted
-			// pointer (the pointer-misdirection vector of §3), taints
-			// whatever the destination may point to.
-			for _, obj := range a.AA.PointsTo(in.Args[1]) {
-				if r := objectRoot(obj); r != nil && !t.Roots[r] {
-					t.Roots[r] = true
-					ch = true
-				}
-			}
+		// Storing a tainted value, or storing through a tainted pointer
+		// (the pointer-misdirection vector of §3), taints whatever the
+		// destination may point to.
+		if taintPointees(in.Args[1]) {
+			ch = true
 		}
 		return ch
 	case ir.OpCall:
@@ -115,8 +114,7 @@ func (a *Analysis) propagate(t *Taint, in *ir.Instr) bool {
 		if !callee.IsDecl() {
 			ch := false
 			for i, p := range callee.Params {
-				if i < len(in.Args) && tainted(in.Args[i]) && !t.Values[ir.Value(p)] {
-					t.Values[p] = true
+				if i < len(in.Args) && tainted(in.Args[i]) && mark(p) {
 					ch = true
 				}
 			}
@@ -133,8 +131,7 @@ func (a *Analysis) propagate(t *Taint, in *ir.Instr) bool {
 			// Taint flows to every caller's call result.
 			ch := false
 			for _, call := range a.callersOf[in.Block.Parent] {
-				if !t.Values[ir.Value(call)] {
-					t.Values[call] = true
+				if mark(call) {
 					ch = true
 				}
 			}

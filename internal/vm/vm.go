@@ -465,13 +465,14 @@ func (m *Machine) objectMAC(f *ir.Func, in *ir.Instr, addr uint64, size int) uin
 	// parallel with the access, so the meter charges one access (the
 	// caller's tick already charged the PA sequence); functionally we
 	// verify the whole object so corruption anywhere is caught.
-	b, err := m.Mem.ReadBytes(addr, size)
+	h := uint64(0xcbf29ce484222325)
+	err := m.Mem.ReadRuns(addr, size, func(run []byte) {
+		for _, x := range run {
+			h = (h ^ uint64(x)) * 0x100000001b3
+		}
+	})
 	if err != nil {
 		panic(m.fault(memKind(err), f, in, err))
-	}
-	h := uint64(0xcbf29ce484222325)
-	for _, x := range b {
-		h = (h ^ uint64(x)) * 0x100000001b3
 	}
 	m.Meter.OnLoad(addr)
 	return pa.GenericMAC(h, addr, m.Keys.APGA)

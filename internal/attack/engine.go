@@ -47,8 +47,9 @@ type Outcome struct {
 }
 
 // Run builds the case under the scheme and runs benign + malicious
-// inputs on fresh machines. Every machine is armed with a fault flight
-// recorder, so a detected attack's Fault carries a Forensics report.
+// inputs on fresh machines over the one built program. Every machine is
+// armed with a fault flight recorder, so a detected attack's Fault
+// carries a Forensics report.
 func Run(c *Case, scheme core.Scheme) (*Outcome, error) {
 	return RunWith(core.DefaultPipeline(), c, scheme)
 }
@@ -60,21 +61,17 @@ func RunWith(pl *core.Pipeline, c *Case, scheme core.Scheme) (*Outcome, error) {
 	defer obs.TraceSpan(fmt.Sprintf("attack %s [%v]", c.Name, scheme), "attack")()
 	out := &Outcome{Case: c.Name, Scheme: scheme}
 
-	benignProg, err := pl.Build(c.Name, c.Source, scheme)
+	prog, err := pl.Build(c.Name, c.Source, scheme)
 	if err != nil {
 		return nil, fmt.Errorf("attack: build %s/%v: %w", c.Name, scheme, err)
 	}
-	bres, err := runArmed(benignProg, c.Benign)
+	bres, err := runArmed(prog, c.Benign)
 	if err != nil {
 		return nil, err
 	}
 	out.Benign = Classify(bres)
 
-	attackProg, err := pl.Build(c.Name, c.Source, scheme)
-	if err != nil {
-		return nil, err
-	}
-	ares, err := runArmed(attackProg, c.Malicious)
+	ares, err := runArmed(prog, c.Malicious)
 	if err != nil {
 		return nil, err
 	}
@@ -90,8 +87,9 @@ func RunWith(pl *core.Pipeline, c *Case, scheme core.Scheme) (*Outcome, error) {
 	// contribute dynamic site counts under the case's name (no-op unless
 	// a session armed a CoverageAgg).
 	if agg := obs.CurrentCoverage(); agg != nil {
-		agg.Record(c.Name, scheme.String(), harden.SiteIDs(benignProg.Mod), benignProg.Mod.NumInstrs(), bres.Coverage)
-		agg.Record(c.Name, scheme.String(), harden.SiteIDs(attackProg.Mod), attackProg.Mod.NumInstrs(), ares.Coverage)
+		sites, instrs := harden.SiteIDs(prog.Mod), prog.Mod.NumInstrs()
+		agg.Record(c.Name, scheme.String(), sites, instrs, bres.Coverage)
+		agg.Record(c.Name, scheme.String(), sites, instrs, ares.Coverage)
 	}
 	return out, nil
 }

@@ -432,11 +432,11 @@ int main() {
 }`
 	pl := cfg.Runner().Pipeline()
 	for _, scheme := range []core.Scheme{core.SchemeVanilla, core.SchemePythia, core.SchemeFields} {
+		prog, err := pl.Build("fieldcanary", src, scheme)
+		if err != nil {
+			return nil, err
+		}
 		verdict := func(stdin string) (string, error) {
-			prog, err := pl.Build("fieldcanary", src, scheme)
-			if err != nil {
-				return "", err
-			}
 			res, err := prog.Run(stdin)
 			if err != nil {
 				return "", err

@@ -99,7 +99,8 @@ func Protect(mod *ir.Module, scheme Scheme) (*Protection, error) {
 // stages through the process-wide pipeline: the vanilla compile of a
 // source is paid once per process and shared across schemes via a deep
 // IR clone, and each (source, scheme) instrumentation is paid once.
-// The returned Program owns its module outright.
+// Machines only read the returned Program's module, so one Program may
+// run on many machines at once.
 func Build(name, src string, scheme Scheme) (*Program, error) {
 	return defaultPipeline.Build(name, src, scheme)
 }

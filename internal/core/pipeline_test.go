@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,10 +11,12 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/harden"
 	"repro/internal/ir"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // withMetrics runs fn under a fresh obs metrics session and returns the
@@ -63,9 +67,13 @@ func TestPipelineOneCompilePerSource(t *testing.T) {
 	}
 }
 
-// TestBuildReturnsOwnedModules: machines write global addresses into
-// their module, so two Builds of the same key must not share one.
-func TestBuildReturnsOwnedModules(t *testing.T) {
+// TestProgramRunsConcurrently: a machine only reads its module, so one
+// built Program serves many machines at once. For the quick profiles
+// (one hot round) and the attack corpus under every scheme, several
+// goroutines run the same Program together; each result must equal a
+// sequential run's, and the module's encoding must not change. Two
+// Builds of one key must also run observationally identically.
+func TestProgramRunsConcurrently(t *testing.T) {
 	pl := core.NewPipeline()
 	a, err := pl.Build("t", prog, core.SchemePythia)
 	if err != nil {
@@ -74,9 +82,6 @@ func TestBuildReturnsOwnedModules(t *testing.T) {
 	b, err := pl.Build("t", prog, core.SchemePythia)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if a.Mod == b.Mod {
-		t.Fatal("cached Build handed out a shared module")
 	}
 	ra, err := a.Run("bob\n")
 	if err != nil {
@@ -88,6 +93,71 @@ func TestBuildReturnsOwnedModules(t *testing.T) {
 	}
 	if ra.Ret != rb.Ret || string(ra.Stdout) != string(rb.Stdout) || *ra.Counters != *rb.Counters {
 		t.Fatal("cached Build must be observationally identical to a fresh one")
+	}
+
+	type job struct {
+		name, src string
+		stdins    []string
+	}
+	var jobs []job
+	for _, n := range []string{"519.lbm_r", "502.gcc_r", "nginx"} {
+		p := *workload.ProfileByName(n)
+		p.HotRounds = 1
+		jobs = append(jobs, job{p.Name, workload.Source(&p), []string{workload.Stdin(&p)}})
+	}
+	for _, c := range attack.Corpus() {
+		jobs = append(jobs, job{c.Name, c.Source, []string{c.Benign, c.Malicious}})
+	}
+	// outcome is everything a run reports that must not depend on who
+	// else runs the program.
+	outcome := func(p *core.Program, stdin string) string {
+		res, err := p.Run(stdin)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return fmt.Sprintf("ret=%d fault=%v sites=%d stdout=%q counters=%+v",
+			res.Ret, res.Fault, res.SitesExecuted, res.Stdout, *res.Counters)
+	}
+	const runners = 3
+	for _, j := range jobs {
+		for _, s := range core.Schemes {
+			p, err := pl.Build(j.name, j.src, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := ir.EncodeModule(p.Mod)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for _, in := range j.stdins {
+				want = append(want, outcome(p, in))
+			}
+			got := make([][]string, runners)
+			var wg sync.WaitGroup
+			for r := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, in := range j.stdins {
+						got[r] = append(got[r], outcome(p, in))
+					}
+				}()
+			}
+			wg.Wait()
+			for r := range got {
+				if !slices.Equal(got[r], want) {
+					t.Errorf("%s/%v runner %d:\n got %q\nwant %q", j.name, s, r, got[r], want)
+				}
+			}
+			after, err := ir.EncodeModule(p.Mod)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Errorf("%s/%v: running the program changed its module", j.name, s)
+			}
+		}
 	}
 }
 

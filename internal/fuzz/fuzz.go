@@ -59,6 +59,7 @@ type Result struct {
 // tstate is the per-target evolving state.
 type tstate struct {
 	target Target
+	progs  *programs
 	mut    *Mutator
 	dict   [][]byte
 	corpus [][]byte
@@ -100,8 +101,13 @@ func Run(targets []Target, opts Options) (*Result, error) {
 			seeds = seeds[:1]
 		}
 		t.Seeds = seeds
+		ps, err := buildPrograms(&t)
+		if err != nil {
+			return nil, err
+		}
 		states[i] = &tstate{
 			target: t,
+			progs:  ps,
 			mut:    NewMutator(opts.Seed ^ int64(covSeed(t.Name))),
 			dict:   Dictionary(&t),
 			seen:   make(map[uint64]bool),
@@ -231,7 +237,7 @@ func (f *fuzzer) round(jobs []job) error {
 		go func() {
 			defer obs.AdoptSpan(parent)()
 			for i := range feed {
-				results[i], errs[i] = w.eval(&f.states[jobs[i].ti].target, jobs[i].input)
+				results[i], errs[i] = w.eval(f.states[jobs[i].ti].progs, jobs[i].input)
 			}
 			done <- struct{}{}
 		}()

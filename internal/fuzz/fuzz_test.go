@@ -212,7 +212,10 @@ const rediscoveryExecs = 1500
 // --- minimizer --------------------------------------------------------
 
 func TestMinimizeShrinksAndStaysStable(t *testing.T) {
-	tgt := TargetByName("dfi-blindspot")
+	ps, err := buildPrograms(TargetByName("dfi-blindspot"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := newWorker()
 	// The scheme index of dfi in the oracle's order.
 	dfiIdx := len(schemes) - 1
@@ -220,7 +223,7 @@ func TestMinimizeShrinksAndStaysStable(t *testing.T) {
 		t.Fatalf("scheme order changed; fix the test: %v", schemes)
 	}
 	pred := func(cand []byte) bool {
-		c, err := w.pair(tgt, dfiIdx, cand)
+		c, err := w.pair(ps, dfiIdx, cand)
 		return err == nil && c == classBypass
 	}
 	// A deliberately bloated bypass input.

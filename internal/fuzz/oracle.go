@@ -1,14 +1,14 @@
 package fuzz
 
 // The differential oracle and the per-worker evaluation state. Each
-// worker owns its own compiled programs — vm.New writes global
-// addresses into the shared *ir.Module, so machines built from one
-// module must not run concurrently — plus one reusable coverage map.
-// An evaluation runs the input under all four schemes on fresh
-// machines, harvests branch coverage from the vanilla run (the schemes
-// insert no user-visible branches, so vanilla coverage is the cheapest
-// complete signal), and classifies each defense verdict against the
-// vanilla ground truth.
+// target's program under each scheme is built once per Run or Replay
+// and shared by every worker: a machine only reads its module, so many
+// machines may run one program at once. A worker owns just one
+// reusable coverage map. An evaluation runs the input under all four
+// schemes on fresh machines, harvests branch coverage from the vanilla
+// run (the schemes insert no user-visible branches, so vanilla coverage
+// is the cheapest complete signal), and classifies each defense verdict
+// against the vanilla ground truth.
 
 import (
 	"fmt"
@@ -98,29 +98,30 @@ var buildPipeline = core.DefaultPipeline()
 // before Run/Replay; the pipeline is read without synchronization.
 func UsePipeline(pl *core.Pipeline) { buildPipeline = pl }
 
+// programs is one target's built program under each scheme, indexed
+// like schemes.
+type programs [4]*core.Program
+
+// buildPrograms builds t under every scheme.
+func buildPrograms(t *Target) (*programs, error) {
+	var ps programs
+	for i, s := range schemes {
+		p, err := buildPipeline.Build(t.Name, t.Source, s)
+		if err != nil {
+			return nil, err
+		}
+		ps[i] = p
+	}
+	return &ps, nil
+}
+
 // worker is one evaluation lane of the pool.
 type worker struct {
-	progs map[string]*core.Program
-	cov   *vm.Coverage
+	cov *vm.Coverage
 }
 
 func newWorker() *worker {
-	return &worker{progs: make(map[string]*core.Program), cov: vm.NewCoverage()}
-}
-
-// program returns the worker-local compiled program for (target,
-// scheme), building it on first use.
-func (w *worker) program(t *Target, s core.Scheme) (*core.Program, error) {
-	key := t.Name + "/" + s.String()
-	if p, ok := w.progs[key]; ok {
-		return p, nil
-	}
-	p, err := buildPipeline.Build(t.Name, t.Source, s)
-	if err != nil {
-		return nil, err
-	}
-	w.progs[key] = p
-	return p, nil
+	return &worker{cov: vm.NewCoverage()}
 }
 
 // run executes input on a fresh machine for the program. cov, when
@@ -144,13 +145,9 @@ func classifyRun(res *vm.Result) verdict {
 }
 
 // eval runs input under every scheme and reports verdicts + coverage.
-func (w *worker) eval(t *Target, input []byte) (*evalOut, error) {
+func (w *worker) eval(ps *programs, input []byte) (*evalOut, error) {
 	out := &evalOut{input: input}
-	for i, s := range schemes {
-		p, err := w.program(t, s)
-		if err != nil {
-			return nil, err
-		}
+	for i, p := range ps {
 		var cov *vm.Coverage
 		if i == 0 {
 			w.cov.Reset()
@@ -158,7 +155,7 @@ func (w *worker) eval(t *Target, input []byte) (*evalOut, error) {
 		}
 		res, err := runInput(p, input, cov, 0)
 		if err != nil {
-			return nil, fmt.Errorf("fuzz: run %s/%v: %w", t.Name, s, err)
+			return nil, fmt.Errorf("fuzz: run %s/%v: %w", p.Mod.Name, p.Scheme, err)
 		}
 		out.verdicts[i] = classifyRun(res)
 	}
@@ -168,13 +165,8 @@ func (w *worker) eval(t *Target, input []byte) (*evalOut, error) {
 	return out, nil
 }
 
-// replay re-runs input under one scheme with the flight recorder armed
-// and returns the result — the triage path that attaches forensics to
-// a finding.
-func replay(t *Target, s core.Scheme, input []byte) (*vm.Result, error) {
-	p, err := buildPipeline.Build(t.Name, t.Source, s)
-	if err != nil {
-		return nil, err
-	}
+// replay re-runs input on p with the flight recorder armed and returns
+// the result — the triage path that attaches forensics to a finding.
+func replay(p *core.Program, input []byte) (*vm.Result, error) {
 	return runInput(p, input, nil, obs.DefaultFlightWindow)
 }

@@ -35,7 +35,9 @@ func (c *Const) Operand() string {
 
 // Global is a module-level variable. Its value is the *address* of the
 // storage, so its type is a pointer to the declared type, exactly like
-// LLVM globals.
+// LLVM globals. The address itself belongs to each machine image the
+// module is loaded into, not to the module, so loading never writes
+// here.
 type Global struct {
 	GName string
 	Elem  Type   // the pointee type
@@ -45,9 +47,6 @@ type Global struct {
 	// Sealed marks a scalar global widened to a [value|PAC] pair by the
 	// CPA pass; the loader writes the initial MAC.
 	Sealed bool
-
-	// Addr is assigned when the module is loaded into a machine image.
-	Addr uint64
 }
 
 func (g *Global) Name() string    { return g.GName }

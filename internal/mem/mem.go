@@ -236,6 +236,23 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) error {
 	return nil
 }
 
+// Zero clears the n bytes at addr: WriteBytes of n zero bytes, with the
+// same checks and faults, cleared in place one page run at a time so
+// the caller needs no n-byte buffer.
+func (m *Memory) Zero(addr uint64, n int) error {
+	if err := m.check(addr, n, "store"); err != nil {
+		return err
+	}
+	for i := 0; i < n; {
+		a := addr + uint64(i)
+		off := int(a % pageSize)
+		run := m.page(a)[off:min(pageSize, off+n-i)]
+		clear(run)
+		i += len(run)
+	}
+	return nil
+}
+
 // ReadUint reads an n-byte little-endian unsigned scalar (n ∈ 1,2,4,8).
 // Scalars that fit inside one page — nearly all of them — decode
 // straight from the page array without allocating.

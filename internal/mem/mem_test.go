@@ -52,6 +52,51 @@ func TestBytesAcrossPageBoundary(t *testing.T) {
 	}
 }
 
+// TestZeroMatchesWriteBytes: Zero clears exactly [addr, addr+n) across
+// page boundaries and fails where a WriteBytes of n zero bytes would,
+// with the same error, leaving memory untouched.
+func TestZeroMatchesWriteBytes(t *testing.T) {
+	m := mem.New()
+	data := bytes.Repeat([]byte{0xAB}, 3*4096)
+	base := mem.GlobalBase + 100
+	if err := m.WriteBytes(base, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Zero(base+10, 2*4096); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.ReadBytes(base, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), data...)
+	clear(want[10 : 10+2*4096])
+	if !bytes.Equal(got, want) {
+		t.Fatal("Zero cleared the wrong range")
+	}
+
+	for _, c := range []struct {
+		addr  uint64
+		n     int
+		limit int
+	}{
+		{mem.GlobalLimit - 8, 16, 0},    // runs off the segment
+		{0x1000_0000, 1, 0},             // unmapped hole
+		{mem.SharedBase, 64 * 4096, 10}, // past the page quota
+	} {
+		a, b := mem.New(), mem.New()
+		a.SetPageLimit(c.limit)
+		b.SetPageLimit(c.limit)
+		zerr, werr := a.Zero(c.addr, c.n), b.WriteBytes(c.addr, make([]byte, c.n))
+		if zerr == nil || werr == nil || zerr.Error() != werr.Error() {
+			t.Errorf("Zero(%#x, %d) = %v, WriteBytes = %v", c.addr, c.n, zerr, werr)
+		}
+		if a.Footprint() != 0 {
+			t.Errorf("failed Zero(%#x, %d) committed %d pages", c.addr, c.n, a.Footprint())
+		}
+	}
+}
+
 func TestLittleEndian(t *testing.T) {
 	m := mem.New()
 	if err := m.WriteUint(mem.GlobalBase, 0x0102030405060708, 8); err != nil {

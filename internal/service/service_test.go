@@ -168,6 +168,24 @@ func TestHugeFrameIsAFault(t *testing.T) {
 	}
 }
 
+// TestHugeGlobalIsAFault: a global array so large that the next global
+// lands past the globals segment is the program's crash, not a panic on
+// the engine's worker, and the engine serves the next submission.
+func TestHugeGlobalIsAFault(t *testing.T) {
+	e := newEngine(t, Config{Workers: 1})
+	huge := `char big[400000000]; int main() { printf("hi %d\n", 1); return 0; }`
+	r, err := e.Submit(&SubmitRequest{Source: huge, Scheme: "pythia"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Verdict != "crashed" || r.Fault == nil || r.Fault.Kind != "runtime" || !strings.Contains(r.Fault.Error, "global @") {
+		t.Fatalf("verdict=%s fault=%+v, want crashed/runtime naming the global", r.Verdict, r.Fault)
+	}
+	if r, err := e.Submit(&SubmitRequest{Source: trivial, Scheme: "pythia"}); err != nil || r.Verdict != "clean" {
+		t.Fatalf("next submission: %v %+v", err, r)
+	}
+}
+
 // blockingEngine arms the runHook so every job parks until release is
 // called; entered signals each arrival. release is idempotent and also
 // runs as a cleanup, so a failed test can't wedge the engine's Close.

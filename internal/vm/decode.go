@@ -111,16 +111,9 @@ type siteCell struct {
 	cycles float64
 }
 
-func (c *siteCell) add(o siteCell) {
-	c.execs += o.execs
-	c.faults += o.faults
-	c.cycles += o.cycles
-}
-
 // dfunc is the decoded form of one function under one machine.
 type dfunc struct {
 	f         *ir.Func
-	planSrc   *ir.StackPlan // f.Plan observed at decode; re-decode when it changes
 	plan      *ir.StackPlan
 	frameSize int64
 	nslots    int
@@ -136,11 +129,12 @@ type dfunc struct {
 	nsites int32
 
 	// sent is the part of cells obsFlush has already published to the
-	// session site profiler, which receives deltas.
+	// session site profiler, which receives deltas; allocated by the
+	// first flush that has a profiler.
 	sent []siteCell
 
 	// index maps instruction to cell; built on first use by the
-	// reference interpreter and by inherit.
+	// reference interpreter.
 	index map[*ir.Instr]int32
 
 	// err is why f could not be decoded and errIn the instruction it
@@ -154,59 +148,30 @@ type dfunc struct {
 	covBase uint32
 }
 
-// decodedFunc returns the cached decoding of f, refreshing it when a
-// hardening pass installed a new stack plan since the last decode.
+// decodedFunc returns f's decoding, decoding it on first use. The
+// module is never edited after vm.New, so one decoding per machine
+// stays valid for the machine's life.
 func (m *Machine) decodedFunc(f *ir.Func) *dfunc {
-	old, ok := m.decoded[f]
-	if ok && old.planSrc == f.Plan {
-		return old
+	d, ok := m.decoded[f]
+	if !ok {
+		d = m.decode(f)
+		m.decoded[f] = d
 	}
-	d := m.decode(f)
-	if ok {
-		d.inherit(old)
-	}
-	m.decoded[f] = d
 	return d
 }
 
-// cellOf returns in's cell index, appending a cell for an instruction
-// the decoding does not hold.
-func (d *dfunc) cellOf(in *ir.Instr) int32 {
+// cellOf returns in's cell index. Every instruction in f's blocks got
+// a cell at decode; ok is false for one reached outside them, through
+// a branch to a foreign block.
+func (d *dfunc) cellOf(in *ir.Instr) (i int32, ok bool) {
 	if d.index == nil {
 		d.index = make(map[*ir.Instr]int32, len(d.ins))
 		for i, x := range d.ins {
 			d.index[x] = int32(i)
 		}
 	}
-	i, ok := d.index[in]
-	if !ok {
-		i = int32(len(d.cells))
-		d.index[in] = i
-		d.ins = append(d.ins, in)
-		d.cells = append(d.cells, siteCell{})
-	}
-	return i
-}
-
-// inherit folds a previous decoding's counts into d, so a re-decode
-// after a stack-plan change drops no count already taken.
-func (d *dfunc) inherit(old *dfunc) {
-	for i, in := range old.ins {
-		j := d.cellOf(in)
-		d.cells[j].add(old.cells[i])
-		if i < len(old.sent) {
-			d.sent = growCells(d.sent, len(d.cells))
-			d.sent[j].add(old.sent[i])
-		}
-	}
-}
-
-// growCells extends cs with zero cells to length n.
-func growCells(cs []siteCell, n int) []siteCell {
-	if len(cs) < n {
-		cs = append(cs, make([]siteCell, n-len(cs))...)
-	}
-	return cs
+	i, ok = d.index[in]
+	return i, ok
 }
 
 // opWritesResult reports the opcodes whose decoded execution writes dst
@@ -238,8 +203,10 @@ type decoder struct {
 
 // decode lowers f for execution under this machine.
 func (m *Machine) decode(f *ir.Func) *dfunc {
-	d := &dfunc{f: f, planSrc: f.Plan, covBase: covHash(f.FName)}
-	d.plan = m.planOf(f)
+	d := &dfunc{f: f, plan: f.Plan, covBase: covHash(f.FName)}
+	if d.plan == nil {
+		d.plan = DefaultPlan(f)
+	}
 	d.frameSize = frameSize(d.plan)
 
 	num := ir.NumberValues(f)

@@ -1,8 +1,8 @@
 package vm
 
 // Stack-frame layout and lifetime shared by both execution engines (the
-// pre-decoded slot engine and the reference interpreter): plan
-// resolution with per-function DefaultPlan caching, frame-memory
+// pre-decoded slot engine and the reference interpreter): the default
+// plan for functions no hardening pass laid out, frame-memory
 // initialization (zeroing, canary installation, seal bootstrap, DFI
 // table invalidation), and teardown.
 
@@ -48,23 +48,6 @@ func DefaultPlan(f *ir.Func) *ir.StackPlan {
 	return p
 }
 
-// planOf resolves f's stack plan: the hardening pass's plan when set,
-// otherwise a per-function cached DefaultPlan, so plan-less functions
-// stop re-laying-out their frame on every call. A pass installing
-// f.Plan after the cache warmed invalidates the cached default simply
-// by shadowing it.
-func (m *Machine) planOf(f *ir.Func) *ir.StackPlan {
-	if f.Plan != nil {
-		return f.Plan
-	}
-	if p, ok := m.plans[f]; ok {
-		return p
-	}
-	p := DefaultPlan(f)
-	m.plans[f] = p
-	return p
-}
-
 // frameSize returns the aligned byte size of a frame laid out by plan.
 func frameSize(plan *ir.StackPlan) int64 {
 	size := plan.Size
@@ -87,10 +70,7 @@ func (m *Machine) pushFrameMem(f *ir.Func, plan *ir.StackPlan, size int64) uint6
 	base := m.SP - uint64(size)
 	m.SP = base
 
-	if int64(len(m.zeroBuf)) < size {
-		m.zeroBuf = make([]byte, size)
-	}
-	if err := m.Mem.WriteBytes(base, m.zeroBuf[:size]); err != nil {
+	if err := m.Mem.Zero(base, int(size)); err != nil {
 		panic(m.fault(oomOr(err, FaultRuntime), f, nil, err))
 	}
 	// The DFI runtime definitions table tracks *current* memory: entries

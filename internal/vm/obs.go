@@ -229,7 +229,9 @@ func (m *Machine) obsFlush() {
 	o.prevD = nil
 	if o.sites != nil {
 		for _, d := range m.decoded {
-			d.sent = growCells(d.sent, len(d.cells))
+			if d.sent == nil {
+				d.sent = make([]siteCell, len(d.cells))
+			}
 			for i, cur := range d.cells {
 				if sent := &d.sent[i]; cur.execs != sent.execs || cur.cycles != sent.cycles {
 					o.sites.Add(d.f.FName, d.ins[i].String(), cur.execs-sent.execs, cur.cycles-sent.cycles)

@@ -53,7 +53,11 @@ func (m *Machine) refInvoke(f *ir.Func, args []uint64) uint64 {
 // tick charges one retired instruction through dtick, into the cell the
 // decoded form of the frame's function holds for in.
 func (m *Machine) tick(fr *refFrame, in *ir.Instr) {
-	m.dtick(fr.d, in, fr.d.cellOf(in))
+	c, ok := fr.d.cellOf(in)
+	if !ok {
+		panic(m.fault(FaultRuntime, fr.f, in, errors.New("instruction outside the function's blocks")))
+	}
+	m.dtick(fr.d, in, c)
 }
 
 func (m *Machine) refEvalPhi(fr *refFrame, p *ir.Instr, pred *ir.Block) uint64 {

@@ -148,35 +148,6 @@ func TestSiteCountsAgree(t *testing.T) {
 	}
 }
 
-// TestRedecodeKeepsCounts: installing a new stack plan between runs
-// re-decodes the function; the counts taken under the old decoding
-// must survive.
-func TestRedecodeKeepsCounts(t *testing.T) {
-	prog, c := pythiaCase(t, "privesc-string-overflow")
-	obs.Start(&obs.Session{Coverage: obs.NewCoverageAgg()})
-	defer obs.Stop()
-
-	m := vm.New(prog.Mod, vm.Config{Seed: prog.Seed})
-	m.Stdin.SetInput([]byte(c.Benign))
-	first := mustRun(t, m, "main")
-	for _, f := range prog.Mod.Funcs {
-		if f.Plan != nil {
-			p := *f.Plan
-			f.Plan = &p
-		}
-	}
-	m.Stdin.SetInput([]byte(c.Benign))
-	second := mustRun(t, m, "main")
-	if second.SitesExecuted != first.SitesExecuted {
-		t.Errorf("SitesExecuted %d after re-decode, %d before", second.SitesExecuted, first.SitesExecuted)
-	}
-	for id, sc := range first.Coverage {
-		if got := second.Coverage[id].Execs; got != 2*sc.Execs {
-			t.Errorf("%s: %d execs after re-decode, want %d", id, got, 2*sc.Execs)
-		}
-	}
-}
-
 // TestUndominatedUseFaults: a hand-built function whose use is not
 // dominated by its def cannot be decoded. Its first call ends the run
 // with a typed runtime fault naming the instruction, without a panic

@@ -60,10 +60,14 @@ type Machine struct {
 	// dfiRDT is the runtime definitions table keyed by address.
 	dfiRDT map[uint64]int
 
+	// globalAddrs is where this image placed each global; the module
+	// itself is only read, so one module serves many machines at once.
 	globalAddrs map[*ir.Global]uint64
-	funcAddrs   map[*ir.Func]uint64
-	funcByAddr  map[uint64]*ir.Func
 	depth       int
+
+	// imageErr is why the image could not be laid out; every Run then
+	// ends in a FaultRuntime carrying it.
+	imageErr error
 
 	// canaryShadow maps canary slot address -> expected signed value, so
 	// the check can distinguish "attacker rewrote the slot" even in the
@@ -76,15 +80,11 @@ type Machine struct {
 	objMAC map[uint64]uint64
 
 	// decoded caches the pre-decoded form of every executed function,
-	// whose counter cells are the machine's only per-site record;
-	// plans caches DefaultPlan results for plan-less functions.
+	// whose counter cells are the machine's only per-site record.
 	decoded map[*ir.Func]*dfunc
-	plans   map[*ir.Func]*ir.StackPlan
 
-	// slotFree is a LIFO pool of slot files recycled across frames, and
-	// zeroBuf the reusable frame-zeroing scratch.
+	// slotFree is a LIFO pool of slot files recycled across frames.
 	slotFree [][]uint64
-	zeroBuf  []byte
 
 	// ref forces every call through the reference interpreter.
 	ref bool
@@ -159,18 +159,15 @@ func New(mod *ir.Module, cfg Config) *Machine {
 		SP:           mem.StackTop - 4096,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		dfiRDT:       make(map[uint64]int),
-		globalAddrs:  make(map[*ir.Global]uint64),
-		funcAddrs:    make(map[*ir.Func]uint64),
-		funcByAddr:   make(map[uint64]*ir.Func),
+		globalAddrs:  make(map[*ir.Global]uint64, len(mod.Globals)),
 		canaryShadow: make(map[uint64]uint64),
 		objMAC:       make(map[uint64]uint64),
 		decoded:      make(map[*ir.Func]*dfunc),
-		plans:        make(map[*ir.Func]*ir.StackPlan),
 		ref:          cfg.Reference,
 		cov:          cfg.Cover,
 	}
 	m.obs = newObsState(cfg)
-	m.layoutImage()
+	m.imageErr = m.layoutImage()
 	if cfg.MaxPages > 0 {
 		// Install the quota after layout: the image (globals, seals) is
 		// always mapped; the cap governs what the run commits on top.
@@ -179,16 +176,16 @@ func New(mod *ir.Module, cfg Config) *Machine {
 	return m
 }
 
-// layoutImage assigns addresses to globals and function entry stubs and
-// copies initial data.
-func (m *Machine) layoutImage() {
+// layoutImage assigns addresses to globals and copies initial data. A
+// global the image cannot hold (say, one placed past mem.GlobalLimit by
+// a huge global before it) is the program's error, not the host's.
+func (m *Machine) layoutImage() error {
 	addr := mem.GlobalBase
 	for _, g := range m.Mod.Globals {
-		g.Addr = addr
 		m.globalAddrs[g] = addr
 		if len(g.Init) > 0 {
 			if err := m.Mem.WriteBytes(addr, g.Init); err != nil {
-				panic(fmt.Sprintf("vm: global init: %v", err))
+				return fmt.Errorf("global @%s init: %w", g.GName, err)
 			}
 		}
 		if g.Sealed {
@@ -198,7 +195,7 @@ func (m *Machine) layoutImage() {
 				err = m.Mem.WriteUint(addr+8, pa.GenericMAC(v, addr, m.Keys.APGA), 8)
 			}
 			if err != nil {
-				panic(fmt.Sprintf("vm: sealing global @%s: %v", g.GName, err))
+				return fmt.Errorf("sealing global @%s: %w", g.GName, err)
 			}
 		}
 		sz := g.Elem.Size()
@@ -207,12 +204,7 @@ func (m *Machine) layoutImage() {
 		}
 		addr += uint64(sz+15) &^ 15
 	}
-	caddr := mem.CodeBase
-	for _, f := range m.Mod.Funcs {
-		m.funcAddrs[f] = caddr
-		m.funcByAddr[caddr] = f
-		caddr += 16
-	}
+	return nil
 }
 
 // Fault classifies why a run terminated abnormally — this is the
@@ -358,7 +350,9 @@ func (m *Machine) fault(kind FaultKind, f *ir.Func, in *ir.Instr, err error) *ex
 	return &execError{f: flt}
 }
 
-// call interprets one function invocation.
+// call interprets one function invocation. On an image that could not
+// be laid out it faults before running anything, the way an
+// undecodable function does on its first call.
 func (m *Machine) call(f *ir.Func, args []uint64) (ret uint64, fault *Fault) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -369,6 +363,9 @@ func (m *Machine) call(f *ir.Func, args []uint64) (ret uint64, fault *Fault) {
 			panic(r)
 		}
 	}()
+	if m.imageErr != nil {
+		panic(m.fault(FaultRuntime, f, nil, m.imageErr))
+	}
 	ret = m.invoke(f, args)
 	return ret, nil
 }
